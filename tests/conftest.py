@@ -85,13 +85,18 @@ def quick_ctx():
     return ExperimentContext(scale="quick")
 
 
-@pytest.fixture(scope="session")
-def tiny_registry():
-    """A fleet model registry with a minimal training config, shared
-    across the session so each SKU trains at most once."""
+def make_tiny_registry():
+    """A fleet model registry with a minimal training config."""
     from repro.fleet import ModelRegistry
     from repro.workloads.suites import spec_combinations
 
     return ModelRegistry(
         combos=spec_combinations()[:3], bench_intervals=4, cool_intervals=20
     )
+
+
+@pytest.fixture(scope="session")
+def tiny_registry():
+    """:func:`make_tiny_registry`, shared across the session so each SKU
+    trains at most once."""
+    return make_tiny_registry()
