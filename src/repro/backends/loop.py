@@ -1,17 +1,16 @@
 """The observe/decide/apply loop over the backend boundary.
 
-:func:`run_backend_controlled` is the backend-boundary twin of
-:func:`repro.dvfs.governor.run_controlled`: same controller contract
-(one decision from interval *k*'s sample governs interval *k + 1*),
-same :class:`~repro.dvfs.governor.ControlledRun` result, but the
+:func:`run_backend_controlled` is the one observe/decide/apply loop:
+one decision from interval *k*'s sample governs interval *k + 1*, and
+the result is a :class:`~repro.dvfs.governor.ControlledRun`.  The
 telemetry source and the actuation surface are a
-:class:`~repro.backends.base.TelemetryBackend` instead of a live
-:class:`~repro.hardware.platform.Platform`.  Driving a
-:class:`~repro.backends.simulator.SimulatorBackend` through this loop
-is bit-identical to :func:`run_controlled` on the wrapped platform
-(pinned in ``tests/test_backends.py``), which is what makes the
-record->replay acceptance gate a statement about the *pipeline* rather
-than about two different loops.
+:class:`~repro.backends.base.TelemetryBackend`;
+:func:`repro.dvfs.governor.run_controlled` is this loop over a
+:class:`~repro.backends.simulator.SimulatorBackend`.  Driving the
+simulator through the boundary is bit-identical to stepping and
+actuating the platform directly (pinned in ``tests/test_backends.py``),
+which is what makes the record->replay acceptance gate a statement
+about the *pipeline* rather than about two different loops.
 
 Two backend-specific behaviors:
 

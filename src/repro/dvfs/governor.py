@@ -60,21 +60,15 @@ def run_controlled(
 
     The decision made from interval *k*'s sample governs interval
     *k + 1*, mirroring the one-interval actuation latency of a real
-    userspace daemon.
+    userspace daemon.  This is
+    :func:`~repro.backends.loop.run_backend_controlled` over a
+    :class:`~repro.backends.simulator.SimulatorBackend`: one loop, whether
+    the platform is reached directly or through the backend boundary.
     """
-    if n_intervals <= 0:
-        raise ValueError("n_intervals must be positive")
-    if initial_vf is not None:
-        platform.set_all_vf(initial_vf)
-    controller.reset()
-    run = ControlledRun()
-    for _ in range(n_intervals):
-        sample = platform.step()
-        decision = list(controller.decide(sample))
-        if len(decision) != platform.spec.num_cus:
-            raise ValueError("controller must return one VF per CU")
-        for cu, vf in enumerate(decision):
-            platform.set_cu_vf(cu, vf)
-        run.samples.append(sample)
-        run.decisions.append(decision)
-    return run
+    # Imported here: the backends package imports this module.
+    from repro.backends.loop import run_backend_controlled
+    from repro.backends.simulator import SimulatorBackend
+
+    return run_backend_controlled(
+        SimulatorBackend(platform), controller, n_intervals, initial_vf
+    )

@@ -108,15 +108,8 @@ class PPEPPowerCapper(DVFSController):
         cap_schedule: Union[CapSchedule, float],
         margin: float = 0.97,
         bias_gain: float = 0.25,
-        use_pricer: bool = True,
     ) -> None:
         self.ppep = ppep
-        #: With the default True, candidate assignments are priced via
-        #: the memoizing :meth:`PPEP.mixed_pricer` (bit-identical to
-        #: predict_mixed, ~10x fewer per-core projections per decide).
-        #: False keeps the legacy per-candidate predict_mixed calls --
-        #: the baseline the fleet-scale benchmark compares against.
-        self.use_pricer = bool(use_pricer)
         self._schedule = (
             cap_schedule if callable(cap_schedule) else (lambda _s: float(cap_schedule))
         )
@@ -182,15 +175,9 @@ class PPEPPowerCapper(DVFSController):
         # same observation; the pricer caches the per-(core, VF) terms
         # so each candidate is a cheap sum (bit-identical to
         # predict_mixed, which dominates the fleet hot loop otherwise).
-        if self.use_pricer:
-            pricer = self.ppep.mixed_pricer(
-                states, sample.temperature, sample.power_gating
-            )
-            price = pricer.price
-        else:
-            price = lambda targets: self.ppep.predict_mixed(  # noqa: E731
-                states, sample.temperature, targets, sample.power_gating
-            )
+        price = self.ppep.mixed_pricer(
+            states, sample.temperature, sample.power_gating
+        ).price
 
         assignment: List[VFState] = [table.fastest] * spec.num_cus
         power, perf = price(assignment)

@@ -26,6 +26,7 @@ from repro.core.batch import BatchObservation, BatchPrediction
 from repro.core.energy import VFPrediction
 from repro.core.ppep import PPEP, PPEPSnapshot, stable_seed
 from repro.faults.injection import FaultInjector, FaultSpec
+from repro.fleet.engine import FleetEngine
 from repro.fleet.registry import ModelRegistry
 from repro.hardware.microarch import ChipSpec
 from repro.hardware.platform import CoreAssignment, IntervalSample, Platform
@@ -97,7 +98,7 @@ class FleetSimulator:
     guarantees one per SKU) is priced in one batched call.
     """
 
-    def __init__(self, nodes: Sequence[FleetNode], batched: bool = True) -> None:
+    def __init__(self, nodes: Sequence[FleetNode]) -> None:
         if not nodes:
             raise ValueError("a fleet needs at least one node")
         names = [node.name for node in nodes]
@@ -122,13 +123,7 @@ class FleetSimulator:
         self._groups = [
             (self.nodes[idx[0]].ppep, idx) for idx in groups.values()
         ]
-        self.batched = bool(batched)
-        if self.batched:
-            from repro.fleet.engine import FleetEngine
-
-            self._engine = FleetEngine(self.nodes)
-        else:
-            self._engine = None
+        self._engine = FleetEngine(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -142,17 +137,15 @@ class FleetSimulator:
     def step(self) -> List[IntervalSample]:
         """Advance every node one synchronized 200 ms interval.
 
-        With ``batched=True`` (the default) all whole-interval-steady
-        same-SKU nodes advance through one
+        All whole-interval-steady same-SKU nodes advance through one
         :class:`~repro.fleet.engine.FleetEngine` struct-of-arrays pass,
-        bit-identical to per-node ``platform.step()`` calls.
+        bit-identical to per-node ``platform.step()`` calls; the engine
+        steps every other node through its own platform.
         """
         registry = get_registry()
         if registry.enabled:
             registry.counter("obs.fleet.steps").inc()
-        if self._engine is not None:
-            return self._engine.step()
-        return [node.platform.step() for node in self.nodes]
+        return self._engine.step()
 
     def run(self, n_intervals: int) -> List[List[IntervalSample]]:
         """Free-running fleet (no controller): samples per interval."""
@@ -260,7 +253,6 @@ def make_fleet(
     programs: Sequence[str] = _DEFAULT_PROGRAMS,
     busy_cus: Optional[Sequence[int]] = None,
     fault_specs: Optional[Sequence[FaultSpec]] = None,
-    batched: bool = True,
 ) -> FleetSimulator:
     """Build a ready-to-run fleet: one node per entry of ``specs``.
 
@@ -305,4 +297,4 @@ def make_fleet(
         nodes.append(
             FleetNode("node{:02d}".format(i), platform, ppep)
         )
-    return FleetSimulator(nodes, batched=batched)
+    return FleetSimulator(nodes)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.serve.manager import ShardManager
 from repro.serve.protocol import (
@@ -288,6 +288,49 @@ def _stuck(max_redeliveries: int, waited_s: float) -> RuntimeError:
     )
 
 
+def _redeliver(
+    manager: ShardManager,
+    lines: Iterable[bytes],
+    stats: IngestStats,
+    max_redeliveries: int,
+    max_wait_s: float,
+) -> Iterator[float]:
+    """The stdin redelivery loop; yields every back-off wait.
+
+    The caller waits out each yielded delay (blocking or awaited) before
+    resuming, and the next delivery attempt follows.
+    """
+    for raw in lines:
+        event = _prepare_line(raw, stats)
+        if event is None:
+            continue
+        waited = 0.0
+        for attempt in range(max_redeliveries):
+            try:
+                payload = manager.submit(event)
+            except ProtocolError as exc:
+                stats.errors += 1
+                logger.warning("unroutable telemetry line: %s", exc)
+                break
+            status = payload["status"]
+            if status not in (RETRY, SHED):
+                _account_delivered(payload, stats)
+                break
+            if status == SHED:
+                stats.sheds += 1
+            else:
+                stats.retried += 1
+            manager.ensure_alive()
+            manager.poll()
+            wait = float(payload.get("retry_after_s", manager.retry_after_s))
+            if waited + wait > max_wait_s:
+                raise _stuck(attempt + 1, waited)
+            waited += wait
+            yield wait
+        else:
+            raise _stuck(max_redeliveries, waited)
+
+
 def ingest_lines(
     manager: ShardManager,
     lines: Iterable[bytes],
@@ -306,38 +349,8 @@ def ingest_lines(
     no-silent-drop property, stated for pipes.
     """
     stats = IngestStats()
-    for raw in lines:
-        event = _prepare_line(raw, stats)
-        if event is None:
-            continue
-        delivered = False
-        waited = 0.0
-        for _attempt in range(max_redeliveries):
-            try:
-                payload = manager.submit(event)
-            except ProtocolError as exc:
-                stats.errors += 1
-                logger.warning("unroutable telemetry line: %s", exc)
-                delivered = True
-                break
-            status = payload["status"]
-            if status not in (RETRY, SHED):
-                _account_delivered(payload, stats)
-                delivered = True
-                break
-            if status == SHED:
-                stats.sheds += 1
-            else:
-                stats.retried += 1
-            manager.ensure_alive()
-            manager.poll()
-            wait = float(payload.get("retry_after_s", manager.retry_after_s))
-            if waited + wait > max_wait_s:
-                raise _stuck(_attempt + 1, waited)
-            waited += wait
-            sleep(wait)
-        if not delivered:
-            raise _stuck(max_redeliveries, waited)
+    for wait in _redeliver(manager, lines, stats, max_redeliveries, max_wait_s):
+        sleep(wait)
     return stats
 
 
@@ -356,36 +369,6 @@ async def ingest_lines_async(
     watchdog that unsticks the queue.
     """
     stats = IngestStats()
-    for raw in lines:
-        event = _prepare_line(raw, stats)
-        if event is None:
-            continue
-        delivered = False
-        waited = 0.0
-        for _attempt in range(max_redeliveries):
-            try:
-                payload = manager.submit(event)
-            except ProtocolError as exc:
-                stats.errors += 1
-                logger.warning("unroutable telemetry line: %s", exc)
-                delivered = True
-                break
-            status = payload["status"]
-            if status not in (RETRY, SHED):
-                _account_delivered(payload, stats)
-                delivered = True
-                break
-            if status == SHED:
-                stats.sheds += 1
-            else:
-                stats.retried += 1
-            manager.ensure_alive()
-            manager.poll()
-            wait = float(payload.get("retry_after_s", manager.retry_after_s))
-            if waited + wait > max_wait_s:
-                raise _stuck(_attempt + 1, waited)
-            waited += wait
-            await asyncio.sleep(wait)
-        if not delivered:
-            raise _stuck(max_redeliveries, waited)
+    for wait in _redeliver(manager, lines, stats, max_redeliveries, max_wait_s):
+        await asyncio.sleep(wait)
     return stats

@@ -71,8 +71,6 @@ class ShardSpec:
     unhealthy_after: int = 3
     filter_config: object = None
     ledger_kwargs: Optional[dict] = field(default=None)
-    #: Run the shard pipeline on the batched pricing kernel (default on).
-    batched: bool = True
 
 
 class _ShardHandle:
@@ -198,7 +196,6 @@ class ShardManager:
                 "unhealthy_after": shard.unhealthy_after,
                 "filter_config": shard.filter_config,
                 "ledger_kwargs": shard.ledger_kwargs,
-                "batched": shard.batched,
                 "epoch": 0,
                 "disk_chaos": disk_chaos,
                 "checkpoint_path": (

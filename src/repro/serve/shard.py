@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper
 from repro.faults.filtering import FilterConfig, HardenedPPEP
-from repro.fleet.cluster_cap import allocate_budget
+from repro.fleet.cluster_cap import allocate_with_quarantine
 from repro.hardware.platform import IntervalSample
 from repro.obs.events import EventLog
 from repro.obs.ledger import PredictionLedger
@@ -77,9 +77,17 @@ class ShardPipeline:
         Allocation policy (see :func:`repro.fleet.cluster_cap.allocate_budget`).
     unhealthy_after:
         Consecutive BAD intervals before a node is quarantined: pinned
-        to the slowest VF decision and granted only its floor power.
+        to the slowest VF decision and granted only its floor power
+        (:func:`~repro.fleet.cluster_cap.allocate_with_quarantine`, the
+        same split the fleet manager uses).
     events / ledger_kwargs / filter_config / margin / bias_gain:
         Observability sink and pipeline tunables.
+
+    Nodes deliver intervals asynchronously, so the shard batches across
+    nodes only at the allocation round; within an interval each node's
+    :class:`~repro.dvfs.power_capping.PPEPPowerCapper` prices its
+    candidates through the cached
+    :class:`~repro.core.ppep.MixedPricer`.
     """
 
     def __init__(
@@ -96,7 +104,6 @@ class ShardPipeline:
         ledger_kwargs: Optional[dict] = None,
         margin: float = 0.97,
         bias_gain: float = 0.25,
-        batched: bool = True,
     ) -> None:
         if not node_names:
             raise ValueError("a shard needs at least one node")
@@ -107,13 +114,6 @@ class ShardPipeline:
         self.sku = sku
         self.spec = spec
         self.ppep = ppep
-        #: Run the per-node cappers on the cached struct-of-arrays
-        #: pricing kernel (bit-identical decisions; the legacy
-        #: ``batched=False`` path re-prices every trial assignment from
-        #: scratch).  Nodes deliver intervals asynchronously, so the
-        #: shard's cross-node batching stays at the allocation round;
-        #: the per-interval kernel win is the cached pricer.
-        self.batched = bool(batched)
         self.node_names = list(node_names)
         self.budget_w = (
             float(budget_w) if budget_w is not None else 90.0 * len(node_names)
@@ -129,11 +129,7 @@ class ShardPipeline:
             budget = ExternalBudget(self.budget_w / len(self.node_names))
             self._budgets[name] = budget
             self._cappers[name] = PPEPPowerCapper(
-                ppep,
-                budget,
-                margin=margin,
-                bias_gain=bias_gain,
-                use_pricer=self.batched,
+                ppep, budget, margin=margin, bias_gain=bias_gain
             )
             self._hardened[name] = HardenedPPEP(
                 ppep,
@@ -272,8 +268,6 @@ class ShardPipeline:
         samples = [self._round[n] for n in names]
         self._round = {}
         batch = self.ppep.batched_predictor().predict_samples(samples)
-        demand = np.asarray(batch.demand, dtype=float)
-        floor = np.asarray(batch.floor, dtype=float)
         healthy = np.array(
             [
                 self._bad_streak[n] < self.unhealthy_after
@@ -281,16 +275,9 @@ class ShardPipeline:
             ],
             dtype=bool,
         )
-        if healthy.all():
-            shares = allocate_budget(self.policy, self.budget_w, demand, floor)
-        else:
-            shares = np.zeros(len(names))
-            shares[~healthy] = floor[~healthy]
-            remaining = max(self.budget_w - float(floor[~healthy].sum()), 0.0)
-            if healthy.any():
-                shares[healthy] = allocate_budget(
-                    self.policy, remaining, demand[healthy], floor[healthy]
-                )
+        shares = allocate_with_quarantine(
+            self.policy, self.budget_w, batch.demand, batch.floor, healthy
+        )
         for name, share in zip(names, shares):
             self._budgets[name].set(float(share))
         self.allocations += 1
@@ -481,7 +468,6 @@ def shard_worker_main(config: dict, in_queue, out_queue) -> None:
         filter_config=config.get("filter_config"),
         events=events,
         ledger_kwargs=config.get("ledger_kwargs"),
-        batched=config.get("batched", True),
     )
     epoch = int(config.get("epoch", 0))
     delivered = 0

@@ -3,8 +3,8 @@
 Pins the three contracts DESIGN.md section 13 promises:
 
 1. the backend boundary is free -- driving a ``SimulatorBackend``
-   through :func:`run_backend_controlled` is bit-identical to driving
-   the wrapped platform through :func:`run_controlled`;
+   through :func:`run_backend_controlled` is bit-identical to stepping
+   and actuating the wrapped platform directly;
 2. ``FlakyBackend`` is deterministic (same seed + spec => same fault
    schedule) and a disabled spec is bitwise-invisible;
 3. ``BackendGuard`` retries transients with bounded budgets, degrades
@@ -28,7 +28,6 @@ from repro.backends import (
     TelemetryBackend,
     run_backend_controlled,
 )
-from repro.dvfs.governor import run_controlled
 from repro.faults import TelemetryFilter
 from repro.hardware.microarch import FX8320_SPEC
 from repro.hardware.platform import Platform
@@ -152,19 +151,22 @@ class TestSimulatorBackend:
         backend.set_power_gating(True)
         assert backend.get_power_gating()
 
-    def test_loop_is_bit_identical_to_run_controlled(self):
-        reference = run_controlled(
-            make_platform(seed=9), CyclingController(), 5,
-            initial_vf=FX8320_SPEC.vf_table.fastest,
-        )
+    def test_loop_is_bit_identical_to_direct_platform_loop(self):
+        platform, controller = make_platform(seed=9), CyclingController()
+        samples, decisions = [], []
+        for _ in range(5):
+            samples.append(platform.step())
+            decisions.append(list(controller.decide(samples[-1])))
+            for cu, vf in enumerate(decisions[-1]):
+                platform.set_cu_vf(cu, vf)
         boundary = run_backend_controlled(
             SimulatorBackend(make_platform(seed=9)), CyclingController(), 5,
             initial_vf=FX8320_SPEC.vf_table.fastest,
         )
         assert [observables(s) for s in boundary.samples] == [
-            observables(s) for s in reference.samples
+            observables(s) for s in samples
         ]
-        assert boundary.decisions == reference.decisions
+        assert boundary.decisions == decisions
 
 
 class TestFlakySpec:

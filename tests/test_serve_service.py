@@ -16,7 +16,7 @@ import pytest
 from repro.hardware.microarch import FX8320_SPEC
 from repro.obs.events import read_events
 from repro.serve.checkpoint import read_checkpoint
-from repro.serve.ingest import Ingestor, ingest_lines
+from repro.serve.ingest import Ingestor, ingest_lines, ingest_lines_async
 from repro.serve.manager import ShardManager, ShardSpec
 from repro.serve.protocol import (
     ProtocolError,
@@ -187,12 +187,17 @@ class TestIngestor:
 
         self._run(scenario())
 
-    def test_ingest_lines_redelivers_until_accepted(self, tiny_registry):
+    def _full_queue(self, tiny_registry):
+        """(manager, lines): two lines for a one-slot queue nobody drains."""
         manager = ShardManager([_shard_spec(tiny_registry)], queue_size=1)
         wire = _wire_events("fx8320-n00", "fx8320", 2)
         lines = [
             (json.dumps(e, sort_keys=True) + "\n").encode() for e in wire
         ]
+        return manager, lines
+
+    def test_ingest_lines_redelivers_until_accepted(self, tiny_registry):
+        manager, lines = self._full_queue(tiny_registry)
         # Fake a worker: every sleep(), drain one item off the queue.
         handle = manager.shards["fx8320"]
 
@@ -203,6 +208,36 @@ class TestIngestor:
         assert stats.accepted == 2
         assert stats.retried >= 1  # the bounded queue pushed back
         assert stats.errors == 0
+
+    def test_ingest_lines_async_redelivers_like_sync(
+        self, tiny_registry, monkeypatch
+    ):
+        manager, lines = self._full_queue(tiny_registry)
+        handle = manager.shards["fx8320"]
+        expected = ingest_lines(
+            manager, lines, sleep=lambda _delay: handle.in_queue.get()
+        )
+        manager, lines = self._full_queue(tiny_registry)
+        handle = manager.shards["fx8320"]
+        waits = []
+
+        async def drain(delay):
+            waits.append(delay)
+            handle.in_queue.get()
+
+        monkeypatch.setattr(asyncio, "sleep", drain)
+        stats = self._run(ingest_lines_async(manager, lines))
+        assert stats.as_dict() == expected.as_dict()
+        assert len(waits) == stats.retried >= 1
+
+    def test_ingest_lines_async_gives_up_like_sync(self, tiny_registry):
+        manager, lines = self._full_queue(tiny_registry)
+        with pytest.raises(RuntimeError, match="stayed full") as sync_error:
+            ingest_lines(manager, lines, max_wait_s=0)
+        manager, lines = self._full_queue(tiny_registry)
+        with pytest.raises(RuntimeError) as async_error:
+            self._run(ingest_lines_async(manager, lines, max_wait_s=0))
+        assert str(async_error.value) == str(sync_error.value)
 
     def test_ingest_lines_counts_bad_lines(self, tiny_registry):
         manager = ShardManager([_shard_spec(tiny_registry)], queue_size=4)
