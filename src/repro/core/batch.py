@@ -30,6 +30,7 @@ from typing import List, Sequence, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.event_predictor import CoreEventState
 from repro.hardware.events import NUM_EVENTS, Event
 from repro.hardware.microarch import ChipSpec
 from repro.hardware.platform import IntervalSample
@@ -87,6 +88,9 @@ class BatchObservation:
         Every sample must come from a platform of the same ``spec``
         (same topology and VF table); heterogeneous fleets batch per
         spec group (see :class:`repro.fleet.simulator.FleetSimulator`).
+        A sample :class:`~repro.core.event_predictor.CoreEventState`
+        would reject (non-positive interval or frequency, negative CPI
+        terms) raises its exact ``ValueError``, for the first such node.
         """
         if not samples:
             raise ValueError("need at least one sample")
@@ -121,6 +125,20 @@ class BatchObservation:
             active, events[:, :, int(Event.DISPATCH_STALLS)] / safe_inst, 0.0
         )
         intervals = np.array([s.interval_s for s in samples])
+        invalid = (
+            (intervals <= 0)
+            | (freq <= 0).any(axis=1)
+            | (cpi < 0).any(axis=1)
+            | (mcpi < 0).any(axis=1)
+        )
+        if invalid.any():
+            # Replay the scalar constructor on the first offending node
+            # so the message (and which check fires first) is its own.
+            sample = samples[int(np.argmax(invalid))]
+            for core_id, vec in enumerate(sample.core_events):
+                CoreEventState(
+                    vec, sample.cu_vfs[spec.cu_of_core(core_id)], sample.interval_s
+                )
         cycles_available = freq * 1e9 * intervals[:, None]
         duty = np.minimum(cycles / np.maximum(cycles_available, 1e-30), 1.0)
 
@@ -139,6 +157,48 @@ class BatchObservation:
             temperature=np.array([s.temperature for s in samples]),
             power_gating=np.array([s.power_gating for s in samples], dtype=bool),
             busy_cus=busy_cus,
+        )
+
+    @classmethod
+    def from_states(
+        cls,
+        spec: ChipSpec,
+        states: "Sequence[CoreEventState]",
+        temperature: float,
+        power_gating: bool,
+    ) -> "BatchObservation":
+        """One node's observation from its per-core states, value for value.
+
+        Every array holds the float the state carries (``cpi_sample``,
+        ``duty``, ``per_inst``, ``obs2_gap``), so column ops over it see
+        exactly the scalar pipeline's inputs.
+        """
+        columns = np.array(
+            [
+                (
+                    s.cpi_sample.cpi,
+                    s.cpi_sample.mcpi,
+                    s.cpi_sample.frequency_ghz,
+                    s.duty,
+                    s.obs2_gap,
+                )
+                for s in states
+            ]
+        ).T[:, None, :]
+        active = np.array([[s.active for s in states]])
+        busy = {spec.cu_of_core(c) for c, s in enumerate(states) if s.active}
+        return cls(
+            spec=spec,
+            per_inst8=np.array([[s.per_inst.as_list()[:8] for s in states]]),
+            cpi=columns[0],
+            mcpi=columns[1],
+            duty=columns[3],
+            obs2_gap=columns[4],
+            freq=columns[2],
+            active=active,
+            temperature=np.array([temperature]),
+            power_gating=np.array([power_gating], dtype=bool),
+            busy_cus=np.array([len(busy)]),
         )
 
 

@@ -34,6 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.analysis.trace import Trace, TraceLibrary
+from repro.core.batch import BatchObservation
 from repro.core.dynamic_power import (
     DynamicPowerModel,
     dynamic_feature_vector,
@@ -121,6 +122,7 @@ class PPEP:
         self.pg_model = pg_model
         self.event_predictor = EventPredictor()
         self._batched = None
+        self._vf_columns = None
 
     def batched_predictor(self):
         """The vectorized all-nodes/all-VF pricing path (cached).
@@ -261,13 +263,70 @@ class PPEP:
         The one-step capper prices dozens of per-CU VF assignments from
         the *same* interval's states; every candidate re-derives the
         per-core event projection even though it only depends on
-        (core state, that core's target VF).  The pricer caches those
-        per-(core, VF) terms and the idle decomposition per assignment,
-        so a greedy walk costs ``num_cores * num_states`` projections
-        total instead of per candidate.  Results are bit-identical to
-        :meth:`predict_mixed` (same per-core addition order).
+        (core state, that core's target VF).  The pricer computes those
+        per-(core, VF) terms once (:meth:`core_terms`) and caches the
+        idle decomposition per assignment, so a greedy walk costs
+        ``num_cores * num_states`` projections total instead of per
+        candidate.  Results are bit-identical to :meth:`predict_mixed`
+        (same per-core addition order).
         """
         return MixedPricer(self, states, temperature, power_gating)
+
+    def core_terms(
+        self, batch: BatchObservation
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(core term, NB term, instructions/s) of every core at every VF.
+
+        The per-core pieces :meth:`predict_mixed` sums, for a whole
+        :class:`~repro.core.batch.BatchObservation` at once: three
+        ``(nodes, cores, states)`` arrays whose state axis runs up the VF
+        table (column ``t`` is VF index ``t + 1``).  Each element is the
+        scalar pipeline's value to the bit: Eq. 1, the duty-scaled rate
+        and the Observation 1/2 products in ``EventPredictor.predict``'s
+        operation order, then ``np.vecdot`` against the weight slices --
+        the same dot routine, summing in the same order, as the per-row
+        ``np.dot`` of ``DynamicPowerModel.core_term``/``nb_term`` (a
+        matrix product or ``einsum`` rounds differently) -- times the
+        per-VF ``(V/V5)**alpha`` computed on Python floats.  Idle cores
+        contribute zeros; an active core with zero predicted CPI raises
+        ``ZeroDivisionError`` as the scalar division does.
+        """
+        if self._vf_columns is None:
+            table = self.spec.vf_table.ascending()
+            self._vf_columns = (
+                np.array([vf.frequency_ghz for vf in table]),
+                np.array(
+                    [self.dynamic_model.voltage_scale(vf.voltage) for vf in table]
+                ),
+            )
+        freqs, scales = self._vf_columns
+        model = self.dynamic_model
+        active = batch.active[..., None]
+        ccpi = batch.cpi - batch.mcpi
+        # max(x, 0.0) keeps x unless 0.0 > x (NaN included).
+        ccpi = np.where(0.0 > ccpi, 0.0, ccpi)
+        # Idle cores divide by a zero CPI here; their terms are masked
+        # below, and Python floats overflow to inf silently too.
+        with np.errstate(all="ignore"):
+            cpi = ccpi[..., None] + batch.mcpi[..., None] * (
+                freqs / batch.freq[..., None]
+            )
+            rate = batch.duty[..., None] * freqs * 1e9 / cpi
+            if (active & (cpi == 0.0)).any():
+                raise ZeroDivisionError("float division by zero")
+            rates = np.empty(rate.shape + (9,))
+            np.multiply(
+                batch.per_inst8[:, :, None, :], rate[..., None], out=rates[..., :8]
+            )
+            stalls = cpi - batch.obs2_gap[..., None]
+            np.multiply(np.where(0.0 > stalls, 0.0, stalls), rate, out=rates[..., 8])
+            core = np.vecdot(rates[..., :7], model.w_core) * scales
+            nb = np.vecdot(rates[..., 7:], model.w_nb)
+        return (
+            np.where(active, core, 0.0),
+            np.where(active, nb, 0.0),
+            np.where(active, rate, 0.0),
+        )
 
     # -- idle power plumbing -------------------------------------------------------
 
@@ -324,20 +383,16 @@ class PPEP:
         return 0.0
 
 
-#: The (core term, NB term, instructions/s) of a core that retired
-#: nothing: EventPredictor predicts all-zero rates for it at every VF.
-_IDLE_CORE_TERMS = (0.0, 0.0, 0.0)
-
-
 class MixedPricer:
     """Memoized mixed-VF pricing for one interval's observation.
 
     Built by :meth:`PPEP.mixed_pricer`; :meth:`price` returns exactly
-    what :meth:`PPEP.predict_mixed` would for the same assignment.  The
-    per-core dynamic/NB/rate terms are cached by (core, target VF
-    index) and the idle power per component (see :meth:`_idle`) --
-    both are pure functions of the frozen (states, temperature,
-    power_gating) this pricer was built from.
+    what :meth:`PPEP.predict_mixed` would for the same assignment of
+    the spec's own VF states.  Every (core, VF) dynamic/NB/rate term
+    comes up front from :meth:`PPEP.core_terms` on this one node, and
+    the idle power is cached per component (see :meth:`_idle`) -- both
+    pure functions of the frozen (states, temperature, power_gating)
+    this pricer was built from.
     """
 
     __slots__ = (
@@ -347,7 +402,6 @@ class MixedPricer:
         "_power_gating",
         "_num_cus",
         "_cores",
-        "_scales",
         "_uniform_idle",
         "_mean_idle",
         "_decomps",
@@ -362,14 +416,17 @@ class MixedPricer:
         self._power_gating = power_gating
         spec = ppep.spec
         self._num_cus = spec.num_cus
-        # Per core, in core order: (state, its CU, memo of vf.index ->
-        # (core term, nb term, instructions/s)).
+        core, nb, rate = ppep.core_terms(
+            BatchObservation.from_states(spec, states, temperature, power_gating)
+        )
+        # Per core, in core order: (its CU, (core term, nb term,
+        # instructions/s) by VF index - 1).
         self._cores = [
-            (state, spec.cu_of_core(core_id), {})
-            for core_id, state in enumerate(states)
+            (spec.cu_of_core(core_id), list(zip(*terms)))
+            for core_id, terms in enumerate(
+                zip(core[0].tolist(), nb[0].tolist(), rate[0].tolist())
+            )
         ]
-        # vf.index -> the (V/V5)**alpha factor on the E1-E7 weights.
-        self._scales = {}
         # The idle side of _idle_power_mixed decomposes per component,
         # so a greedy walk's mostly-distinct assignments still hit:
         # uniform assignments cache per vf.index, the no-PG mixed path
@@ -388,54 +445,14 @@ class MixedPricer:
             raise ValueError("need one target VF per CU")
         dynamic = 0.0
         inst_per_s = 0.0
-        for state, cu, terms in self._cores:
-            target = cu_targets[cu]
-            cached = terms.get(target.index)
-            if cached is None:
-                cached = terms[target.index] = self._terms(state, target)
-            core, nb, rate = cached
+        for cu, terms in self._cores:
+            core, nb, rate = terms[cu_targets[cu].index - 1]
             # Two separate additions, exactly as predict_mixed performs
             # them -- (d + a) + b is not (d + (a + b)) in floating point.
             dynamic += core
             dynamic += nb
             inst_per_s += rate
         return dynamic + self._idle(cu_targets), inst_per_s
-
-    def _terms(
-        self, state: CoreEventState, target: VFState
-    ) -> Tuple[float, float, float]:
-        """(core term, NB term, instructions/s) of one core at ``target``.
-
-        ``EventPredictor.predict``, ``dynamic_feature_vector`` and the
-        model's ``core_term``/``nb_term`` fused, read straight from the
-        core's state: every multiply and divide happens in the
-        predictor's order, and the two reductions are the model's own
-        ``np.dot`` calls on the same nine-element float64 vector (a
-        matrix product or a Python sum would round differently), so
-        the terms equal :meth:`PPEP.predict_mixed`'s to the bit.
-        """
-        if not state.active:
-            return _IDLE_CORE_TERMS
-        model = self._ppep.dynamic_model
-        scale = self._scales.get(target.index)
-        if scale is None:
-            scale = self._scales[target.index] = model.voltage_scale(
-                target.voltage
-            )
-        sample = state.cpi_sample
-        frequency = target.frequency_ghz
-        # Eq. 1 (CPIModel.predict_cpi), then the duty-scaled rate.
-        cpi = sample.ccpi + sample.mcpi * (frequency / sample.frequency_ghz)
-        inst_per_s = state.duty * frequency * 1e9 / cpi
-        # Observation 1 for E1-E8, Observation 2 for dispatch stalls.
-        rates = [p * inst_per_s for p in state.per_inst.as_list()[:8]]
-        rates.append(max(cpi - state.obs2_gap, 0.0) * inst_per_s)
-        features = np.array(rates, dtype=float)
-        return (
-            float(np.dot(model.w_core, features[:7])) * scale,
-            float(np.dot(model.w_nb, features[7:])),
-            inst_per_s,
-        )
 
     def _idle(self, cu_targets: Sequence[VFState]) -> float:
         """``PPEP._idle_power_mixed`` with per-component memoization."""

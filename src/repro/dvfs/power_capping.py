@@ -23,6 +23,7 @@ from typing import Callable, List, Sequence, Union
 
 import numpy as np
 
+from repro.core.batch import BatchObservation
 from repro.core.ppep import PPEP
 from repro.dvfs.governor import ControlledRun, DVFSController
 from repro.hardware.platform import IntervalSample
@@ -34,6 +35,7 @@ __all__ = [
     "IterativePowerCapper",
     "CappingResult",
     "ExternalBudget",
+    "decide_nodes",
     "evaluate_capping",
     "evaluate_power_series",
     "square_wave_cap",
@@ -99,7 +101,8 @@ class PPEPPowerCapper(DVFSController):
     ``num_cus * (num_states - 1)`` steps and prices up to ``num_cus``
     candidates per step (~66 per decision under a binding cap), each a
     sum over :class:`~repro.core.ppep.MixedPricer`'s per-(core, VF)
-    memo.
+    table.  :func:`decide_nodes` runs the same walk for a whole group
+    of nodes at once.
     """
 
     def __init__(
@@ -162,12 +165,18 @@ class PPEPPowerCapper(DVFSController):
         before the first decision."""
         return self._last_predicted
 
-    def decide(self, sample: IntervalSample) -> Sequence[VFState]:
+    def _advance(self, measured_power: float) -> float:
+        """Open one decision: the bias corrector's update, then this
+        interval's effective cap (the schedule step advances)."""
         if self._last_predicted is not None and self._last_predicted > 1.0:
-            observed = sample.measured_power / self._last_predicted
+            observed = measured_power / self._last_predicted
             self._bias += self.bias_gain * (observed - self._bias)
         cap = self._schedule(self._step) * self.margin / max(self._bias, 0.5)
         self._step += 1
+        return cap
+
+    def decide(self, sample: IntervalSample) -> Sequence[VFState]:
+        cap = self._advance(sample.measured_power)
         spec = self.ppep.spec
         table = spec.vf_table
         states = self.ppep.core_states(sample)
@@ -230,6 +239,207 @@ class PPEPPowerCapper(DVFSController):
                 improved = True
         self._last_predicted = power
         return assignment
+
+
+def decide_nodes(
+    cappers: Sequence[PPEPPowerCapper],
+    samples: Sequence[IntervalSample],
+    batch: BatchObservation,
+) -> List[List[VFState]]:
+    """``[c.decide(s) for c, s in zip(cappers, samples)]`` as one column walk.
+
+    Every capper must share one :class:`PPEP`; ``batch`` is
+    :meth:`BatchObservation.from_samples` of ``samples`` (which raises
+    what ``core_states`` would on a malformed sample).  The greedy
+    descent and the climb-back advance as masked column ops over the
+    node axis: each step, every node still over its cap prices all of
+    its one-CU-slower candidates at once.  Decisions, the cappers'
+    step, bias and ``last_predicted`` equal the per-node
+    :meth:`PPEPPowerCapper.decide` calls bit for bit:
+
+    - each price sums the (core, VF) terms of :meth:`PPEP.core_terms`
+      in ``predict_mixed``'s order (from 0.0, ``+= core`` then
+      ``+= nb`` per core, then idle; instructions/s per core) as a
+      running sum, which adds strictly left to right;
+    - idle power follows ``PPEP._idle_power_mixed`` case by case, on
+      the same floats (Horner columns for the Eq. 2 polynomials);
+    - the first CU with a strictly greater score (or gain) wins, and
+      ``max``/comparison semantics include NaN.
+
+    A temperature the idle model rejects raises before any capper's
+    state changes.
+    """
+    ppep = cappers[0].ppep
+    if any(capper.ppep is not ppep for capper in cappers):
+        raise ValueError("a column walk needs cappers that share one PPEP")
+    n = len(cappers)
+    if len(samples) != n or batch.num_nodes != n:
+        raise ValueError("need one sample and one observation row per capper")
+    spec = ppep.spec
+    states = spec.vf_table.ascending()
+    top = len(states) - 1
+    num_cus = spec.num_cus
+    num_cores = spec.num_cores
+    temperature = batch.temperature
+    pg_model = ppep.pg_model
+    eq2_nodes = np.ones(n, dtype=bool) if pg_model is None else ~batch.power_gating
+    cold = eq2_nodes & (temperature <= 0)
+    if cold.any():
+        # The fastest uniform price reaches Eq. 2 first; let it raise.
+        ppep.idle_model.predict(
+            states[-1].voltage, float(temperature[np.argmax(cold)])
+        )
+    core, nb, rate = ppep.core_terms(batch)
+
+    # Idle power per (node, uniform VF): PPEP._idle_power.
+    volts = np.array([vf.voltage for vf in states])
+    w_idle1 = ppep.idle_model.w_idle1
+    w_idle0 = ppep.idle_model.w_idle0
+    uniform_idle = (
+        np.array([w_idle1(v) for v in volts]) * temperature[:, None]
+        + np.array([w_idle0(v) for v in volts])
+    )
+    if pg_model is not None:
+        decomps = [pg_model.decomposition(vf) for vf in states]
+        p_cu = np.array([d.p_cu for d in decomps])
+        p_nb = np.array([d.p_nb for d in decomps])
+        p_base = np.array([d.p_base for d in decomps])
+        busy = batch.busy_cus[:, None]
+        gated = np.where(busy == 0, p_base, busy * p_cu + p_nb + p_base)
+        uniform_idle = np.where(batch.power_gating[:, None], gated, uniform_idle)
+        ungated = ~batch.power_gating
+        wake_nb = (batch.busy_cus > 0) | ungated
+        wake_cu = (
+            batch.active.reshape(n, num_cus, spec.cores_per_cu).any(axis=2)
+            | ungated[:, None]
+        )
+
+    def horner(poly, x):
+        y = np.zeros_like(x)
+        for c in poly.coefficients:
+            y = y * x + c
+        return y
+
+    def mixed_idle(rows, trial):
+        """PPEP._idle_power_mixed for assignments that are not uniform."""
+        if pg_model is None:
+            # sum() starts from 0, then adds voltages left to right.
+            mean = volts[trial[:, 0]]
+            for u in range(1, num_cus):
+                mean = mean + volts[trial[:, u]]
+            mean = mean / num_cus
+            return horner(w_idle1, mean) * temperature[rows] + horner(w_idle0, mean)
+        total = 0.0 + p_base[trial[:, 0]]
+        total = np.where(wake_nb[rows], total + p_nb[trial[:, 0]], total)
+        for u in range(num_cus):
+            total = np.where(wake_cu[rows, u], total + p_cu[trial[:, u]], total)
+        return total
+
+    def idle_of(rows, trial):
+        first = trial[:, 0]
+        idle = uniform_idle[rows, first]
+        mixed = (trial != first[:, None]).any(axis=1)
+        if mixed.any():
+            idle[mixed] = mixed_idle(rows[mixed], trial[mixed])
+        return idle
+
+    # A cell is (node, core, VF column); pairs[cell] is its (core, NB)
+    # terms, so pairs[cells] of one assignment lists the dynamic-power
+    # terms in predict_mixed's addition order.
+    pairs = np.stack([core, nb], axis=-1).reshape(-1, 2)
+    rates = rate.reshape(-1)
+    cell_base = (np.arange(n)[:, None] * num_cores + np.arange(num_cores)) * len(
+        states
+    )
+    core_cu = np.array([spec.cu_of_core(c) for c in range(num_cores)])
+    # own[c, k]: core c belongs to CU k; own_terms repeats it per term.
+    own = core_cu[:, None] == np.arange(num_cus)
+    own_terms = np.repeat(own, 2, axis=0)
+
+    def terms(cells):
+        """(dynamic terms, rates) of per-node cells, summed axis first."""
+        return pairs[cells].reshape(len(cells), -1).T, rates[cells].T
+
+    def running_sum(values):
+        """``values`` summed from 0.0 strictly in order along axis 0, as
+        predict_mixed's ``+=`` (a reduction may reassociate)."""
+        total = values[0] + 0.0
+        for row in values[1:]:
+            total += row
+        return total
+
+    def neighbours(active, step):
+        """Every node's one-CU-moved candidates: (trials, movable, powers, perfs)."""
+        current = assign[active]
+        movable = current > 0 if step < 0 else current < top
+        trials = np.repeat(current[:, None, :], num_cus, axis=1)
+        trials[:, cu_axis, cu_axis] += step * movable
+        cells = cell_base[active] + current[:, core_cu]
+        stay_dyn, stay_rate = terms(cells)
+        move_dyn, move_rate = terms(cells + step * movable[:, core_cu])
+        # Candidate k takes CU k's cores from the moved cells.
+        trial_power = running_sum(
+            np.where(own_terms[:, None, :], move_dyn[..., None], stay_dyn[..., None])
+        ) + idle_of(np.repeat(active, num_cus), trials.reshape(-1, num_cus)).reshape(
+            -1, num_cus
+        )
+        trial_perf = running_sum(
+            np.where(own[:, None, :], move_rate[..., None], stay_rate[..., None])
+        )
+        return trials, movable, trial_power, trial_perf
+
+    def take(active, trials, best, trial_power, trial_perf):
+        """Move every node with a winner to it; returns those nodes."""
+        moved = best >= 0
+        rows, best, active = np.flatnonzero(moved), best[moved], active[moved]
+        assign[active] = trials[rows, best]
+        power[active] = trial_power[rows, best]
+        perf[active] = trial_perf[rows, best]
+        return active
+
+    # Every capper's state changes from here on.
+    caps = np.array(
+        [capper._advance(s.measured_power) for capper, s in zip(cappers, samples)]
+    )
+    cu_axis = np.arange(num_cus)
+    assign = np.full((n, num_cus), top)
+    with np.errstate(all="ignore"):
+        dyn, rate_terms = terms(cell_base + top)
+        power = running_sum(dyn) + uniform_idle[:, top]
+        perf = running_sum(rate_terms)
+        active = np.flatnonzero(power > caps)
+        while active.size:
+            trials, movable, trial_power, trial_perf = neighbours(active, -1)
+            lost = perf[active, None] - trial_perf
+            score = (power[active, None] - trial_power) / np.where(
+                1.0 > lost, 1.0, lost
+            )
+            active = take(
+                active, trials, _first_best(score, movable), trial_power, trial_perf
+            )
+            active = active[power[active] > caps[active]]
+        # Climb back while a one-CU raise still fits under the cap.
+        active = np.arange(n)
+        while active.size:
+            trials, movable, trial_power, trial_perf = neighbours(active, +1)
+            fits = movable & (trial_power <= caps[active, None])
+            best = _first_best(trial_perf - perf[active, None], fits)
+            active = take(active, trials, best, trial_power, trial_perf)
+    for capper, predicted in zip(cappers, power.tolist()):
+        capper._last_predicted = predicted
+    return [[states[t] for t in row] for row in assign.tolist()]
+
+
+def _first_best(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Per row, the first valid column with a strictly greater value
+    than every valid one before it (``-1`` where none is valid)."""
+    best = np.full(len(values), -1)
+    best_value = np.zeros(len(values))
+    for k in range(values.shape[1]):
+        wins = valid[:, k] & ((best < 0) | (values[:, k] > best_value))
+        best[wins] = k
+        best_value[wins] = values[wins, k]
+    return best
 
 
 class UniformPowerCapper(DVFSController):

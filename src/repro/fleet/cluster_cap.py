@@ -11,7 +11,9 @@ event) must be met by chips that only know how to cap *themselves*.
 2. an allocation policy apportions the cluster budget into node shares;
 3. each node's existing one-step
    :class:`~repro.dvfs.power_capping.PPEPPowerCapper` chases its share
-   through an :class:`~repro.dvfs.power_capping.ExternalBudget`.
+   through an :class:`~repro.dvfs.power_capping.ExternalBudget`; the
+   cappers of same-model nodes decide together, in one column walk
+   (:func:`~repro.dvfs.power_capping.decide_nodes`).
 
 Because every layer is proactive (prediction, not trial-and-error), the
 fleet total lands under a new cluster cap within one decision interval
@@ -39,6 +41,7 @@ from repro.dvfs.power_capping import (
     CappingResult,
     ExternalBudget,
     PPEPPowerCapper,
+    decide_nodes,
     evaluate_power_series,
 )
 from repro.faults.filtering import GOOD, BatchTelemetryFilter, FilterConfig
@@ -241,8 +244,9 @@ class ClusterPowerManager:
 
     Each interval is one pass of the fleet's struct-of-arrays path:
     :class:`~repro.fleet.engine.FleetEngine` stepping, batched filtering
-    and all-VF prediction, then per-node cappers that price candidates
-    through the cached :class:`~repro.core.ppep.MixedPricer`.
+    and all-VF prediction, then the per-node cappers' greedy walks as
+    one :func:`~repro.dvfs.power_capping.decide_nodes` column pass per
+    model group.
     """
 
     def __init__(
@@ -437,14 +441,24 @@ class ClusterPowerManager:
                 self.policy, cap, prediction.demand, prediction.floor, healthy
             )
             self._observe_allocation(cap, healthy)
-            for i, (node, budget, capper, share) in enumerate(
-                zip(self.fleet.nodes, self._budgets, self._cappers, shares)
-            ):
+            for budget, share in zip(self._budgets, shares):
                 budget.set(float(share))
-                # The inner capper always sees the (cleaned) sample so
-                # its schedule step and bias corrector stay in lockstep
-                # with the platform, even when its decision is overridden.
-                decision = list(capper.decide(clean[i]))
+            # Every capper always sees its (cleaned) sample so its
+            # schedule step and bias corrector stay in lockstep with the
+            # platform, even when its decision is overridden: one column
+            # walk per model group, over the observation predict stacked.
+            decisions = [None] * len(self.fleet.nodes)
+            for _ppep, node_ids, observation in prediction.groups:
+                chosen = decide_nodes(
+                    [self._cappers[i] for i in node_ids],
+                    [clean[i] for i in node_ids],
+                    observation,
+                )
+                for i, decision in zip(node_ids, chosen):
+                    decisions[i] = decision
+            for i, (node, capper, decision) in enumerate(
+                zip(self.fleet.nodes, self._cappers, decisions)
+            ):
                 held = False
                 if not healthy[i]:
                     decision = [node.spec.vf_table.slowest] * node.spec.num_cus

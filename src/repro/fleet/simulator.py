@@ -18,7 +18,7 @@ per-node pipeline (:meth:`PPEP.analyze`) remains available through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +74,9 @@ class FleetPrediction:
     chip_power: List[np.ndarray]
     #: Per node: predicted instruction throughput per VF state, inst/s.
     instructions_per_second: List[np.ndarray]
+    #: Per model group: (model, node indices, the stacked observation
+    #: the group was priced from) -- what the fleet capper walks over.
+    groups: List[Tuple[PPEP, List[int], BatchObservation]]
 
     @property
     def num_nodes(self) -> int:
@@ -167,21 +170,25 @@ class FleetSimulator:
         powers: List[Optional[np.ndarray]] = [None] * len(self.nodes)
         rates: List[Optional[np.ndarray]] = [None] * len(self.nodes)
         indices: List[Optional[np.ndarray]] = [None] * len(self.nodes)
+        groups = []
         with registry.timer("obs.fleet.predict_seconds"):
             for ppep, node_ids in self._groups:
-                batch = ppep.batched_predictor().predict_samples(
-                    [samples[i] for i in node_ids]
+                observation = BatchObservation.from_samples(
+                    ppep.spec, [samples[i] for i in node_ids]
                 )
+                batch = ppep.batched_predictor().predict(observation)
                 chip_power = batch.chip_power
                 for row, i in enumerate(node_ids):
                     powers[i] = chip_power[row]
                     rates[i] = batch.instructions_per_second[row]
                     indices[i] = batch.vf_indices
+                groups.append((ppep, node_ids, observation))
         return FleetPrediction(
             names=[node.name for node in self.nodes],
             vf_indices=indices,
             chip_power=powers,
             instructions_per_second=rates,
+            groups=groups,
         )
 
     def analyze(self, samples: Sequence[IntervalSample]) -> List[PPEPSnapshot]:

@@ -123,6 +123,7 @@ class TestClusterPowerManager:
         ``predict_mixed`` gives the applied decision on the cleaned
         sample -- whether it is the capper's own decision (whose price
         is reused) or a held one on a non-actionable interval."""
+        from repro.faults.filtering import BatchTelemetryFilter
         from repro.faults.injection import FaultSpec
         from repro.obs.ledger import PredictionLedger
 
@@ -144,23 +145,25 @@ class TestClusterPowerManager:
             fleet, 6 * 52.0, policy="waterfill", harden=True,
             ledger=PredictionLedger(),
         )
-        # Record what each node's capper saw and returned.
-        seen = {}
-        for i, capper in enumerate(manager._cappers):
-            def decide(sample, i=i, inner=capper.decide):
-                decision = list(inner(sample))
-                seen[i] = (sample, decision)
-                return decision
+        # Record the filter's verdicts: each carries the cleaned sample
+        # the cappers decided from.
+        verdicts = []
+        filters = manager._filters
 
-            capper.decide = decide
+        def ingest_many(samples):
+            verdicts[:] = BatchTelemetryFilter.ingest_many(filters, samples)
+            return list(verdicts)
+
+        filters.ingest_many = ingest_many
         reused = held = 0
         for round_index in range(30):
+            held_before = list(manager._held)
             manager.run(1, resume=round_index > 0)
             for i, node in enumerate(fleet.nodes):
                 pending = manager._pending[i]
                 if pending is None:
                     continue
-                clean, proposed = seen[i]
+                clean = verdicts[i].sample
                 applied = node.platform.cu_vfs
                 power, _rate = node.ppep.predict_mixed(
                     node.ppep.core_states(clean),
@@ -169,9 +172,15 @@ class TestClusterPowerManager:
                     clean.power_gating,
                 )
                 assert pending == (applied[0].index, float(power))
-                if [vf.index for vf in applied] == [vf.index for vf in proposed]:
+                # A non-actionable interval re-applies the held decision
+                # (priced again); otherwise the capper's own price is
+                # reused.
+                if verdicts[i].actionable or held_before[i] is None:
                     reused += 1
                 else:
+                    assert [vf.index for vf in applied] == [
+                        vf.index for vf in held_before[i]
+                    ]
                     held += 1
         assert reused > 0 and held > 0
 

@@ -7,8 +7,11 @@ library: stepping (:class:`~repro.fleet.engine.FleetEngine`) against
 (:class:`~repro.faults.filtering.BatchTelemetryFilter`) against
 :class:`~repro.faults.filtering.TelemetryFilter`, ledger accounting
 (:meth:`~repro.obs.ledger.PredictionLedger.record_many`) against
-``record``, and capper pricing (:class:`~repro.core.ppep.MixedPricer`)
-against ``PPEP.predict_mixed``.
+``record``, capper pricing (:class:`~repro.core.ppep.MixedPricer`) and
+the term kernel (``PPEP.core_terms``) against ``PPEP.predict_mixed``
+and ``EventPredictor.predict``, and the fleet's column walk
+(:func:`~repro.dvfs.power_capping.decide_nodes`) against per-node
+``PPEPPowerCapper.decide``.
 
 The control plane's decision streams (fleet manager, serve shard,
 one-step capper) are pinned in
@@ -20,18 +23,24 @@ field).  The rosters are mixed-SKU with ~5% fault rates and drive
 quarantine enter/exit.
 """
 
+import dataclasses
 import itertools
 import json
 import os
 import random
 
+import numpy as np
 import pytest
 
-from repro.dvfs.power_capping import PPEPPowerCapper
+from repro.core.batch import BatchObservation
+from repro.core.dynamic_power import dynamic_feature_vector
+from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper, decide_nodes
 from repro.faults.filtering import BatchTelemetryFilter, TelemetryFilter
 from repro.faults.injection import FaultSpec
+from repro.fleet import cluster_cap
 from repro.fleet.cluster_cap import ClusterPowerManager
 from repro.fleet.simulator import make_fleet
+from repro.hardware.events import Event, EventVector
 from repro.hardware.microarch import FX8320_SPEC, PHENOM_II_SPEC
 from repro.obs.events import EventLog, read_events
 from repro.obs.ledger import PredictionLedger
@@ -396,6 +405,220 @@ class TestMixedPricer:
         decisions = [row["decision"] for row in golden]
         assert floor in decisions
         assert any(d != floor for d in decisions)
+
+
+class TestTermKernel:
+    """``PPEP.core_terms``: the one implementation of the per-(core, VF)
+    term math, shared by the pricer and the fleet's column walk."""
+
+    @pytest.mark.parametrize(
+        "spec", [FX8320_SPEC, PHENOM_II_SPEC], ids=["fx8320", "phenom"]
+    )
+    def test_vecdot_rows_equal_per_row_dot(self, tiny_registry, spec):
+        # The enabling fact: np.vecdot calls the dot routine np.dot
+        # calls, row by row, so it sums each row in the same order.  A
+        # matrix product (or einsum) is not bound to that order.
+        model = tiny_registry.get(spec).dynamic_model
+        rng = np.random.default_rng(7)
+        rows = rng.random((20000, 9)) * 10.0 ** rng.uniform(0, 10, (20000, 1))
+        weights = [(model.w_core, rows[:, :7]), (model.w_nb, rows[:, 7:])]
+        weights += [(rng.random(7), rows[:, :7]), (rng.random(2), rows[:, 7:])]
+        for w, features in weights:
+            per_row = np.array([np.dot(w, f) for f in features])
+            assert np.array_equal(np.vecdot(features, w), per_row)
+        # The kernel's own layout: rows are the last axis of a 4-D slice.
+        rates = rng.random((6, 8, 5, 9)) * 1e9
+        assert np.array_equal(
+            np.vecdot(rates[..., :7], model.w_core),
+            np.array(
+                [np.dot(model.w_core, r[:7]) for r in rates.reshape(-1, 9)]
+            ).reshape(6, 8, 5),
+        )
+
+    def test_core_terms_equal_event_predictor(self, tiny_registry):
+        """Every (node, core, VF) term of a faulty fleet batch equals the
+        scalar EventPredictor + Eq. 3 path, idle cores included."""
+        fleet = make_fleet(
+            [FX8320_SPEC] * 6,
+            tiny_registry,
+            fault_specs=FAULTS,
+            busy_cus=[4, 2, 0, 1],
+        )
+        ppep = fleet.nodes[0].ppep
+        model = ppep.dynamic_model
+        for _ in range(6):
+            samples = fleet.step()
+        core, nb, rate = ppep.core_terms(
+            BatchObservation.from_samples(FX8320_SPEC, samples)
+        )
+        table = FX8320_SPEC.vf_table.ascending()
+        assert core.shape == (6, FX8320_SPEC.num_cores, len(table))
+        for n, sample in enumerate(samples):
+            for c, state in enumerate(ppep.core_states(sample)):
+                for t, vf in enumerate(table):
+                    predicted = ppep.event_predictor.predict(state, vf)
+                    features = dynamic_feature_vector(predicted.rates)
+                    assert core[n, c, t] == model.core_term(features, vf.voltage)
+                    assert nb[n, c, t] == model.nb_term(features)
+                    assert rate[n, c, t] == predicted.instructions_per_second
+        assert not rate[2].any()  # the all-idle node
+
+
+#: Budgets per walk case: one that binds mid-range, one the walk cannot
+#: meet (every CU ends at the floor), one that never binds.
+WALK_BUDGETS = {"binds": 30.0, "floor": 1.0, "open": 1000.0}
+
+
+def _walk_and_oracle(registry, spec, power_gating, budgets):
+    """A same-SKU fleet (half, full, no and one busy CU) with two capper
+    sets: one for the column walk, one deciding node by node."""
+    u = spec.num_cus
+    fleet = make_fleet(
+        [spec] * 4, registry, power_gating=power_gating, busy_cus=[u // 2, u, 0, 1]
+    )
+    ppep = fleet.nodes[0].ppep
+    walk, oracle = [], []
+    for budget in budgets:
+        walk.append(PPEPPowerCapper(ppep, ExternalBudget(budget)))
+        oracle.append(PPEPPowerCapper(ppep, ExternalBudget(budget)))
+    return fleet, walk, oracle
+
+
+def _assert_same_decisions(walk, oracle, got, expected):
+    for w, o, g, e in zip(walk, oracle, got, expected):
+        assert [vf.index for vf in g] == [vf.index for vf in e]
+        assert w.last_predicted == o.last_predicted
+        assert type(w.last_predicted) is float
+        assert w.state_dict() == o.state_dict()
+
+
+class TestNodeAxisWalk:
+    """``decide_nodes`` against per-node ``PPEPPowerCapper.decide`` on
+    separate capper objects: decisions, ``last_predicted``, bias and
+    step, every round."""
+
+    @pytest.mark.parametrize("kind", list(WALK_BUDGETS))
+    @pytest.mark.parametrize("case", list(CAPPER_CASES))
+    def test_capper_cases_match_per_node_decide(self, tiny_registry, case, kind):
+        spec, power_gating = CAPPER_CASES[case]
+        fleet, walk, oracle = _walk_and_oracle(
+            tiny_registry, spec, power_gating, [WALK_BUDGETS[kind]] * 4
+        )
+        table = spec.vf_table
+        seen = set()
+        for _ in range(10):
+            samples = fleet.step()
+            got = decide_nodes(
+                walk, samples, BatchObservation.from_samples(spec, samples)
+            )
+            expected = [c.decide(s) for c, s in zip(oracle, samples)]
+            _assert_same_decisions(walk, oracle, got, expected)
+            for node, decision in zip(fleet.nodes, got):
+                for cu, vf in enumerate(decision):
+                    node.platform.set_cu_vf(cu, vf)
+            seen.update(tuple(vf.index for vf in d) for d in got[:2])
+        floor = (table.slowest.index,) * spec.num_cus
+        top = (table.fastest.index,) * spec.num_cus
+        if kind == "floor":
+            assert seen == {floor}
+        elif kind == "open":
+            assert seen == {top}
+        else:
+            assert seen - {floor, top}
+
+    def test_mixed_budgets_in_one_walk(self, tiny_registry):
+        fleet, walk, oracle = _walk_and_oracle(
+            tiny_registry, FX8320_SPEC, True, [30.0, 1.0, 1000.0, 18.0]
+        )
+        for _ in range(10):
+            samples = fleet.step()
+            got = decide_nodes(
+                walk, samples, BatchObservation.from_samples(FX8320_SPEC, samples)
+            )
+            expected = [c.decide(s) for c, s in zip(oracle, samples)]
+            _assert_same_decisions(walk, oracle, got, expected)
+
+    @pytest.mark.parametrize(
+        "cap_w_per_node, policy", [(52.0, "waterfill"), (200.0, "proportional")]
+    )
+    def test_fleet_roster_matches_per_node_decide(
+        self, tiny_registry, monkeypatch, cap_w_per_node, policy
+    ):
+        manager = ClusterPowerManager(
+            make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS),
+            cap_schedule=cap_w_per_node * len(MIXED_SPECS),
+            policy=policy,
+            harden=True,
+            ledger=PredictionLedger(),
+        )
+        shadows = {
+            id(c): PPEPPowerCapper(c.ppep, c._schedule, c.margin, c.bias_gain)
+            for c in manager._cappers
+        }
+        calls = []
+
+        def checked(cappers, samples, batch):
+            oracle = [shadows[id(c)] for c in cappers]
+            expected = [o.decide(s) for o, s in zip(oracle, samples)]
+            got = decide_nodes(cappers, samples, batch)
+            _assert_same_decisions(cappers, oracle, got, expected)
+            calls.append([tuple(vf.index for vf in d) for d in got])
+            return got
+
+        monkeypatch.setattr(cluster_cap, "decide_nodes", checked)
+        manager.run(30)
+        assert len(calls) == 30 * 2  # one walk per SKU group per round
+        decided = {d for call in calls for d in call}
+        assert len(decided) > 2
+
+    def test_negative_counter_raises_before_any_state_change(self, tiny_registry):
+        fleet = make_fleet(MIXED_SPECS, tiny_registry)
+        manager = ClusterPowerManager(fleet, 52.0 * len(MIXED_SPECS), harden=False)
+        manager.run(3)
+        before = json.dumps(manager.state_dict()["cappers"])
+        # A Phenom node: the walk of the FX group would run first.
+        victim = 1
+        stepped = fleet.step
+        bad = []
+
+        def corrupted():
+            samples = stepped()
+            events = list(samples[victim].core_events)
+            values = events[0].as_list()
+            assert values[Event.RETIRED_INSTRUCTIONS] > 0
+            values[Event.CPU_CLOCKS_NOT_HALTED] = -5.0
+            events[0] = EventVector(values)
+            samples[victim] = dataclasses.replace(
+                samples[victim], core_events=events
+            )
+            bad.append(samples[victim])
+            return samples
+
+        fleet.step = corrupted
+        with pytest.raises(ValueError) as walked:
+            manager.run(1, resume=True)
+        assert json.dumps(manager.state_dict()["cappers"]) == before
+        node = fleet.nodes[victim]
+        with pytest.raises(ValueError) as scalar:
+            PPEPPowerCapper(node.ppep, 50.0).decide(bad[0])
+        assert str(walked.value) == str(scalar.value) == "CPI terms cannot be negative"
+
+    def test_cold_diode_raises_before_any_state_change(self, tiny_registry):
+        spec, power_gating = CAPPER_CASES["phenom-nopg"]
+        fleet, walk, oracle = _walk_and_oracle(
+            tiny_registry, spec, power_gating, [30.0] * 4
+        )
+        samples = fleet.step()
+        decide_nodes(walk, samples, BatchObservation.from_samples(spec, samples))
+        before = [c.state_dict() for c in walk]
+        samples = fleet.step()
+        samples[2] = dataclasses.replace(samples[2], temperature=-1.0)
+        with pytest.raises(ValueError) as walked:
+            decide_nodes(walk, samples, BatchObservation.from_samples(spec, samples))
+        assert [c.state_dict() for c in walk] == before
+        with pytest.raises(ValueError) as scalar:
+            oracle[2].decide(samples[2])
+        assert str(walked.value) == str(scalar.value)
 
 
 class TestBatchTelemetryFilter:
