@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Fleet-kernel scale benchmark: nodes*intervals per second.
 
-Runs the full hardened cluster loop (batched fleet stepping, batched
-telemetry filtering, columnar ledger accounting, cached-pricer capping)
-at several roster sizes and reports the scale curve plus the batched
-fraction: the share of node-intervals the
+Runs the full hardened cluster loop (batched fleet stepping, per-node
+telemetry filtering, batched all-VF pricing, the capper's column walk
+per model group) at several roster sizes and reports the scale curve
+plus the batched fraction: the share of node-intervals the
 :class:`~repro.fleet.engine.FleetEngine` advanced in its struct-of-arrays
 pass rather than through the per-node ``Platform.step()`` fallback.
 

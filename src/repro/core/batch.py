@@ -217,12 +217,8 @@ class BatchPrediction:
     dynamic_power: np.ndarray  # (N, T)
     #: Predicted idle power (Eq. 2 or the PG decomposition), watts.
     idle_power: np.ndarray  # (N, T)
-    #: Power attributable to the NB (proxy terms + NB idle), watts.
-    nb_power: np.ndarray  # (N, T)
     #: Predicted chip-total instruction throughput, inst/s.
     instructions_per_second: np.ndarray  # (N, T)
-    #: Predicted per-core CPI at each target (zero for idle cores).
-    core_cpis: np.ndarray  # (N, C, T)
 
     @property
     def chip_power(self) -> np.ndarray:
@@ -326,7 +322,6 @@ class BatchedVFPredictor:
             self._idle_w1[None, :] * batch.temperature[:, None]
             + self._idle_w0[None, :]
         )
-        nb_idle = 0.0
         if self._p_cu is not None:
             busy = batch.busy_cus[:, None].astype(float)
             pg_idle = self._p_base[None, :] + np.where(
@@ -334,7 +329,6 @@ class BatchedVFPredictor:
             )
             use_pg = batch.power_gating[:, None]
             idle = np.where(use_pg, pg_idle, eq2_idle)
-            nb_idle = self._p_nb[None, :]
         else:
             idle = eq2_idle
 
@@ -343,9 +337,7 @@ class BatchedVFPredictor:
             vf_indices=self.vf_indices,
             dynamic_power=dynamic,
             idle_power=idle,
-            nb_power=nb_term + nb_idle,
             instructions_per_second=inst_rate.sum(axis=1),
-            core_cpis=np.where(batch.active[:, :, None], cpi_t, 0.0),
         )
 
     def predict_samples(

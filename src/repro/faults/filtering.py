@@ -36,8 +36,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.hardware.events import EventVector
 from repro.hardware.microarch import ChipSpec
 from repro.hardware.platform import INTERVAL_S, IntervalSample
@@ -46,7 +44,6 @@ __all__ = [
     "BAD",
     "GOOD",
     "REPAIRED",
-    "BatchTelemetryFilter",
     "FilterConfig",
     "FilteredInterval",
     "HardenedPPEP",
@@ -336,365 +333,6 @@ class TelemetryFilter:
                 if implausible:
                     issues.append("counters")
         return events, issues
-
-
-class BatchTelemetryFilter:
-    """N independent :class:`TelemetryFilter` streams as column ops.
-
-    Semantically identical to a list of per-node filters -- every stage
-    (stale/stuck detection, reading validation, spike rejection, window
-    gating, counter bounds, last-good fallbacks) produces bit-identical
-    verdicts, powers, and cleaned samples -- but the per-reading and
-    per-interval arithmetic advances as NumPy operations over the node
-    axis, so a 10k-node fleet filters in a handful of array passes
-    instead of 10k Python loops.
-
-    Equivalence notes:
-
-    * Means are accumulated in reading order with masked adds
-      (``acc + where(kept, r, 0.0)``); ``x + 0.0`` is an IEEE identity
-      for the non-negative powers involved, so the sum matches the
-      scalar ``sum(kept)`` bit for bit.
-    * Medians are computed by sorting with invalid slots pushed to
-      ``+inf`` and indexing by valid count -- the same ordered-select
-      the scalar ``_median`` performs.
-    * Stale detection compares payloads with ``==`` column-wise.  A NaN
-      reading would compare unequal in both the scalar tuple compare
-      and the array compare, so behavior matches (the fault injectors
-      never emit NaN readings; they drop to 0 W instead).
-
-    All streams must share one reading count per interval (true for any
-    fleet of :class:`~repro.hardware.platform.Platform` nodes, which pin
-    ``slices_per_interval``); mixed-SKU fleets are fine as long as core
-    counts match per stream's spec.  Checkpoints interoperate with the
-    scalar filter: :meth:`node_state_dicts` emits one
-    :meth:`TelemetryFilter.state_dict`-format dict per stream, so a
-    batched manager can restore from (and be restored by) a per-node
-    checkpoint.
-    """
-
-    def __init__(
-        self,
-        specs: List[ChipSpec],
-        config: Optional[FilterConfig] = None,
-    ) -> None:
-        if not specs:
-            raise ValueError("need at least one stream spec")
-        self.specs = list(specs)
-        self.config = config or FilterConfig()
-        if self.config.window < 3:
-            raise ValueError("window must be >= 3")
-        self._n = len(self.specs)
-        self._cycles_per_s = np.array(
-            [spec.vf_table.fastest.frequency_ghz * 1e9 for spec in self.specs]
-        )
-        self._num_cores = [spec.num_cus * spec.cores_per_cu for spec in self.specs]
-        self.reset()
-
-    def __len__(self) -> int:
-        return self._n
-
-    def reset(self) -> None:
-        n, w = self._n, self.config.window
-        self._interval_s: Optional[float] = None
-        self._max_count = self._cycles_per_s * INTERVAL_S * self.config.count_margin
-        # Stale-detection signature of the previous interval, split into
-        # columns (valid flag, measured, temperature, readings matrix).
-        self._prev_valid = np.zeros(n, dtype=bool)
-        self._prev_measured = np.zeros(n)
-        self._prev_temp = np.zeros(n)
-        self._prev_readings: Optional["np.ndarray"] = None  # (n, s), lazy
-        # Median-of-window history as a ring buffer: entries 0.._len-1
-        # are valid until the ring wraps, after which all are; _pos is
-        # the next write slot, so chronological order is _pos.. for a
-        # full ring.  Matches deque(maxlen=window) append semantics.
-        self._hist = np.zeros((n, w))
-        self._hist_len = np.zeros(n, dtype=np.int64)
-        self._hist_pos = np.zeros(n, dtype=np.int64)
-        self._last_good_power = np.zeros(n)
-        self._lg_power_valid = np.zeros(n, dtype=bool)
-        self._last_good_events: List[Optional[List[EventVector]]] = [None] * n
-        self.quality_counts: List[Dict[str, int]] = [
-            {GOOD: 0, REPAIRED: 0, BAD: 0} for _ in range(n)
-        ]
-
-    # -- the batched per-interval pipeline -----------------------------------
-
-    def ingest_many(self, samples: List[IntervalSample]) -> List[FilteredInterval]:
-        """Validate and repair one delivered interval for every stream."""
-        n = self._n
-        if len(samples) != n:
-            raise ValueError(
-                "expected {} samples (one per stream), got {}".format(
-                    n, len(samples)
-                )
-            )
-        if self._interval_s is None:
-            self._interval_s = samples[0].interval_s
-            self._max_count = (
-                self._cycles_per_s
-                * samples[0].interval_s
-                * self.config.count_margin
-            )
-        for sample in samples:
-            if sample.interval_s != self._interval_s:
-                raise ValueError(
-                    "telemetry stream changed interval length mid-run "
-                    "({} s -> {} s); reset() the filter for a new "
-                    "stream".format(self._interval_s, sample.interval_s)
-                )
-        reading_lists = [list(s.power_samples) for s in samples]
-        s_count = len(reading_lists[0])
-        if any(len(r) != s_count for r in reading_lists):
-            raise ValueError(
-                "batched filtering needs a uniform reading count per "
-                "interval across streams"
-            )
-        readings = np.array(reading_lists)  # (n, s)
-        measured = np.array([s.measured_power for s in samples])
-        temps = np.array([s.temperature for s in samples])
-        cfg = self.config
-        rows = np.arange(n)
-
-        # Stage 1: stale redelivery (byte-identical payload).
-        if self._prev_readings is None or self._prev_readings.shape != readings.shape:
-            stale = np.zeros(n, dtype=bool)
-        else:
-            stale = (
-                self._prev_valid
-                & (measured == self._prev_measured)
-                & (temps == self._prev_temp)
-                & (readings == self._prev_readings).all(axis=1)
-            )
-        self._prev_valid = np.ones(n, dtype=bool)
-        self._prev_measured = measured
-        self._prev_temp = temps
-        self._prev_readings = readings
-
-        # Stage 2: stuck sensor (all readings identical).
-        stuck = (
-            ~stale
-            & (s_count > 1)
-            & (readings == readings[:, :1]).all(axis=1)
-        )
-
-        # Stage 3: reading validation + in-interval spike rejection.
-        valid = (
-            np.isfinite(readings)
-            & (readings >= cfg.min_reading_w)
-            & (readings <= cfg.max_reading_w)
-        )
-        n_valid = valid.sum(axis=1)
-        drop_issue = n_valid < s_count
-        # Median of the valid readings: sort with invalid slots at +inf
-        # and pick by valid count (same ordered-select as _median).
-        ordered = np.sort(np.where(valid, readings, np.inf), axis=1)
-        mid = n_valid // 2
-        hi = ordered[rows, np.minimum(mid, s_count - 1)]
-        lo = ordered[rows, np.maximum(mid - 1, 0)]
-        med = np.where(n_valid % 2 == 1, hi, 0.5 * (lo + hi))
-        factor = cfg.reading_outlier_factor
-        kept = valid & (med[:, None] / factor <= readings) & (
-            readings <= med[:, None] * factor
-        )
-        n_kept = kept.sum(axis=1)
-        spike_issue = (n_valid > 0) & (n_kept < n_valid)
-        # Mean of kept readings, accumulated in reading order so the
-        # result is bit-identical to the scalar sum(kept)/len(kept).
-        acc = np.zeros(n)
-        for s in range(s_count):
-            acc = acc + np.where(kept[:, s], readings[:, s], 0.0)
-        robust_ok = ~stale & ~stuck & (n_kept > 0)
-        power = np.where(robust_ok, acc / np.maximum(n_kept, 1), 0.0)
-        no_readings = ~stale & ~stuck & (n_kept == 0)
-
-        # Stage 4: per-core counter bounds (vectorized per stream group
-        # would need uniform core counts; the check itself is cheap
-        # column math on a ragged-safe padded array).
-        max_cores = max(self._num_cores) if self._num_cores else 0
-        counter_bad = np.zeros((n, max_cores), dtype=bool)
-        for i, sample in enumerate(samples):
-            vals = np.array([vec.as_list() for vec in sample.core_events])
-            bad_core = (
-                ~np.isfinite(vals) | (vals < 0.0) | (vals > self._max_count[i])
-            ).any(axis=1)
-            counter_bad[i, : bad_core.shape[0]] = bad_core
-
-        # Stage 5: median-of-window gate on the interval power.
-        w = cfg.window
-        hist_valid = np.arange(w)[None, :] < self._hist_len[:, None]
-        hordered = np.sort(np.where(hist_valid, self._hist, np.inf), axis=1)
-        hmid = self._hist_len // 2
-        hhi = hordered[rows, np.minimum(hmid, w - 1)]
-        hlo = hordered[rows, np.maximum(hmid - 1, 0)]
-        hmed = np.where(self._hist_len % 2 == 1, hhi, 0.5 * (hlo + hhi))
-        gate_active = robust_ok & (self._hist_len >= 3) & (hmed > 0)
-        ifactor = cfg.interval_outlier_factor
-        outlier = gate_active & (
-            (power > hmed * ifactor) | (power < hmed / ifactor)
-        )
-        power = np.where(outlier, hmed, power)
-
-        # Stage 6: verdicts and last-good fallback.
-        bad = stale | stuck | no_readings
-        hist_med_ok = self._hist_len > 0
-        fallback = np.where(
-            self._lg_power_valid,
-            self._last_good_power,
-            np.where(hist_med_ok, hmed, measured),
-        )
-        power = np.where(robust_ok, power, fallback)
-
-        results: List[FilteredInterval] = []
-        good_rows = ~bad
-        for i, sample in enumerate(samples):
-            issues: List[str] = []
-            if stale[i]:
-                issues.append("stale")
-            elif stuck[i]:
-                issues.append("stuck")
-            else:
-                if drop_issue[i]:
-                    issues.append("drop")
-                if spike_issue[i]:
-                    issues.append("spike")
-                if no_readings[i]:
-                    issues.append("no-readings")
-            events = list(sample.core_events)
-            last_good = self._last_good_events[i]
-            for c in range(len(events)):
-                if counter_bad[i, c] or stale[i]:
-                    if last_good is not None:
-                        events[c] = last_good[c]
-                    else:
-                        events[c] = EventVector.zeros()
-                    if counter_bad[i, c]:
-                        issues.append("counters")
-            if outlier[i]:
-                issues.append("outlier")
-            p = float(power[i])
-            quality = BAD if bad[i] else (REPAIRED if issues else GOOD)
-            cleaned = dataclasses.replace(
-                sample,
-                power_samples=[p] * s_count if bad[i] else reading_lists[i],
-                measured_power=p,
-                core_events=events,
-            )
-            if good_rows[i]:
-                self._last_good_events[i] = list(events)
-            self.quality_counts[i][quality] += 1
-            results.append(
-                FilteredInterval(
-                    sample=cleaned,
-                    quality=quality,
-                    issues=tuple(issues),
-                    power=p,
-                )
-            )
-
-        # History append + last-good power for accepted intervals.
-        gi = np.nonzero(good_rows)[0]
-        if gi.size:
-            self._hist[gi, self._hist_pos[gi]] = power[gi]
-            self._hist_pos[gi] = (self._hist_pos[gi] + 1) % w
-            self._hist_len[gi] = np.minimum(self._hist_len[gi] + 1, w)
-            self._last_good_power[gi] = power[gi]
-            self._lg_power_valid[gi] = True
-        return results
-
-    # -- checkpointing --------------------------------------------------------
-
-    def node_state_dicts(self) -> List[dict]:
-        """Per-stream snapshots in :meth:`TelemetryFilter.state_dict`
-        format, so batched and per-node checkpoints interoperate."""
-        states = []
-        for i in range(self._n):
-            if self._hist_len[i] < self.config.window:
-                history = [float(v) for v in self._hist[i, : self._hist_len[i]]]
-            else:
-                pos = int(self._hist_pos[i])
-                ring = list(self._hist[i, pos:]) + list(self._hist[i, :pos])
-                history = [float(v) for v in ring]
-            prev = None
-            if self._prev_valid[i] and self._prev_readings is not None:
-                prev = [
-                    float(self._prev_measured[i]),
-                    float(self._prev_temp[i]),
-                    [float(r) for r in self._prev_readings[i]],
-                ]
-            states.append(
-                {
-                    "window": self.config.window,
-                    "interval_s": self._interval_s,
-                    "prev_signature": prev,
-                    "history": history,
-                    "last_good_power": (
-                        float(self._last_good_power[i])
-                        if self._lg_power_valid[i]
-                        else None
-                    ),
-                    "last_good_events": (
-                        None
-                        if self._last_good_events[i] is None
-                        else [vec.as_list() for vec in self._last_good_events[i]]
-                    ),
-                    "quality_counts": dict(self.quality_counts[i]),
-                }
-            )
-        return states
-
-    def load_node_state_dicts(self, states: List[dict]) -> None:
-        if len(states) != self._n:
-            raise ValueError(
-                "expected {} stream states, got {}".format(self._n, len(states))
-            )
-        self.reset()
-        interval_s = None
-        for i, state in enumerate(states):
-            if int(state["window"]) != self.config.window:
-                raise ValueError(
-                    "checkpoint window {} does not match this filter's "
-                    "window {}".format(state["window"], self.config.window)
-                )
-            if state["interval_s"] is not None:
-                interval_s = float(state["interval_s"])
-            history = [float(v) for v in state["history"]]
-            self._hist_len[i] = len(history)
-            self._hist_pos[i] = len(history) % self.config.window
-            self._hist[i, : len(history)] = history
-            if state["last_good_power"] is not None:
-                self._last_good_power[i] = float(state["last_good_power"])
-                self._lg_power_valid[i] = True
-            if state["last_good_events"] is not None:
-                self._last_good_events[i] = [
-                    EventVector(values) for values in state["last_good_events"]
-                ]
-            self.quality_counts[i] = {
-                quality: int(state["quality_counts"].get(quality, 0))
-                for quality in (GOOD, REPAIRED, BAD)
-            }
-        if interval_s is not None:
-            self._interval_s = interval_s
-            self._max_count = (
-                self._cycles_per_s * interval_s * self.config.count_margin
-            )
-        # Previous-interval signatures: only restorable when every
-        # stream recorded one with a uniform reading count.
-        sigs = [state.get("prev_signature") for state in states]
-        if all(sig is not None for sig in sigs):
-            lens = {len(sig[2]) for sig in sigs}
-            if len(lens) == 1:
-                self._prev_valid = np.ones(self._n, dtype=bool)
-                self._prev_measured = np.array([float(s[0]) for s in sigs])
-                self._prev_temp = np.array([float(s[1]) for s in sigs])
-                self._prev_readings = np.array(
-                    [[float(r) for r in s[2]] for s in sigs]
-                )
-        elif any(sig is not None for sig in sigs):
-            raise ValueError(
-                "cannot restore a mixed prev_signature state batched; "
-                "either all streams have one or none do"
-            )
 
 
 class HardenedPPEP:

@@ -44,7 +44,7 @@ from repro.dvfs.power_capping import (
     decide_nodes,
     evaluate_power_series,
 )
-from repro.faults.filtering import GOOD, BatchTelemetryFilter, FilterConfig
+from repro.faults.filtering import GOOD, FilterConfig, TelemetryFilter
 from repro.fleet.simulator import FleetSimulator
 
 __all__ = [
@@ -216,9 +216,9 @@ class ClusterPowerManager:
     margin / bias_gain:
         Forwarded to each node's :class:`PPEPPowerCapper`.
     harden:
-        Filter every node's telemetry (one
-        :class:`~repro.faults.filtering.BatchTelemetryFilter` pass per
-        interval) before prediction and allocation.  Nodes whose
+        Filter every node's telemetry through its own
+        :class:`~repro.faults.filtering.TelemetryFilter` before
+        prediction and allocation.  Nodes whose
         quality stays bad for ``unhealthy_after`` consecutive intervals
         are declared unhealthy: pinned to their slowest VF state and
         granted only their predicted floor power, with the rest of the
@@ -238,14 +238,17 @@ class ClusterPowerManager:
         :class:`repro.obs.ledger.PredictionLedger`) records, for every
         node and interval, the power PPEP predicted one step ahead for
         the VF assignment the manager chose against the power the node
-        then measured -- the online Figure 7 accuracy, recorded one
-        :meth:`~repro.obs.ledger.PredictionLedger.record_many` call per
-        interval.
+        then measured -- the online Figure 7 accuracy, one
+        :meth:`~repro.obs.ledger.PredictionLedger.record` call per row,
+        the call :meth:`~repro.obs.ledger.PredictionLedger.from_events`
+        replays.
 
-    Each interval is one pass of the fleet's struct-of-arrays path:
-    :class:`~repro.fleet.engine.FleetEngine` stepping, batched filtering
-    and all-VF prediction, then the per-node cappers' greedy walks as
-    one :func:`~repro.dvfs.power_capping.decide_nodes` column pass per
+    Each interval steps the fleet in one
+    :class:`~repro.fleet.engine.FleetEngine` pass, filters and scores
+    node by node (the same filter and ledger code the serve shard
+    runs), prices every VF state of every node in one batched pass per
+    model group, then runs the per-node cappers' greedy walks as one
+    :func:`~repro.dvfs.power_capping.decide_nodes` column pass per
     model group.
     """
 
@@ -283,7 +286,7 @@ class ClusterPowerManager:
         self.harden = bool(harden)
         self.unhealthy_after = int(unhealthy_after)
         self._filters = (
-            BatchTelemetryFilter([node.spec for node in fleet.nodes], filter_config)
+            [TelemetryFilter(node.spec, filter_config) for node in fleet.nodes]
             if self.harden
             else None
         )
@@ -301,7 +304,8 @@ class ClusterPowerManager:
         for capper in self._cappers:
             capper.reset()
         if self._filters is not None:
-            self._filters.reset()
+            for telemetry_filter in self._filters:
+                telemetry_filter.reset()
         self._bad_streak = np.zeros(len(self.fleet.nodes), dtype=np.int64)
         self._held = [None] * len(self.fleet.nodes)
         self._quarantined_since = [None] * len(self.fleet.nodes)
@@ -335,9 +339,10 @@ class ClusterPowerManager:
             ),
             "budgets": [budget.state_dict() for budget in self._budgets],
             "cappers": [capper.state_dict() for capper in self._cappers],
-            # One TelemetryFilter-format dict per node.
             "filters": (
-                None if self._filters is None else self._filters.node_state_dicts()
+                None
+                if self._filters is None
+                else [f.state_dict() for f in self._filters]
             ),
         }
 
@@ -351,6 +356,12 @@ class ClusterPowerManager:
         if (state["filters"] is None) != (self._filters is None):
             raise ValueError(
                 "checkpoint hardening mode does not match this manager"
+            )
+        if self._filters is not None and len(state["filters"]) != len(names):
+            raise ValueError(
+                "expected {} filter states (one per node), got {}".format(
+                    len(names), len(state["filters"])
+                )
             )
         self._step = int(state["step"])
         self._bad_streak = np.array(
@@ -385,7 +396,10 @@ class ClusterPowerManager:
         for capper, capper_state in zip(self._cappers, state["cappers"]):
             capper.load_state_dict(capper_state)
         if self._filters is not None:
-            self._filters.load_node_state_dicts(list(state["filters"]))
+            for telemetry_filter, filter_state in zip(
+                self._filters, state["filters"]
+            ):
+                telemetry_filter.load_state_dict(filter_state)
 
     def run(
         self,
@@ -417,7 +431,7 @@ class ClusterPowerManager:
         for _ in range(n_intervals):
             samples = self.fleet.step()
             if self.harden:
-                filtered = self._filters.ingest_many(samples)
+                filtered = [f.ingest(s) for f, s in zip(self._filters, samples)]
                 actionable = np.fromiter(
                     (verdict.actionable for verdict in filtered),
                     dtype=bool,
@@ -524,7 +538,6 @@ class ClusterPowerManager:
                     issues=list(verdict.issues),
                 )
         if self.ledger is not None:
-            rows = []
             for i, (node, sample) in enumerate(zip(self.fleet.nodes, samples)):
                 pending = self._pending[i]
                 if pending is None:
@@ -536,20 +549,15 @@ class ClusterPowerManager:
                     # garbage, so BAD intervals record nothing.
                     continue
                 vf_index, predicted = pending
-                rows.append(
-                    dict(
-                        node=node.name,
-                        interval=self._step,
-                        vf_index=vf_index,
-                        predicted_power=predicted,
-                        measured_power=sample.measured_power,
-                        interval_s=sample.interval_s,
-                        quality=(
-                            filtered[i].quality if filtered is not None else None
-                        ),
-                    )
+                self.ledger.record(
+                    node=node.name,
+                    interval=self._step,
+                    vf_index=vf_index,
+                    predicted_power=predicted,
+                    measured_power=sample.measured_power,
+                    interval_s=sample.interval_s,
+                    quality=filtered[i].quality if filtered is not None else None,
                 )
-            self.ledger.record_many(rows)
 
     def _observe_allocation(self, cap, healthy) -> None:
         """Quarantine-transition and budget-reallocation events."""

@@ -10,9 +10,8 @@ The prediction hot path is batched: nodes sharing a trained model are
 stacked into one ``(nodes x cores, features)`` problem and priced by
 :class:`repro.core.batch.BatchedVFPredictor` in a handful of NumPy
 operations.  Heterogeneous fleets batch per model group.  The scalar
-per-node pipeline (:meth:`PPEP.analyze`) remains available through
-:meth:`FleetSimulator.analyze`, which assembles full per-node
-:class:`~repro.core.ppep.PPEPSnapshot` objects from the batched arrays.
+per-node pipeline (:meth:`PPEP.analyze`) is the oracle the batched
+prices are tested against.
 """
 
 from __future__ import annotations
@@ -22,9 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchObservation, BatchPrediction
-from repro.core.energy import VFPrediction
-from repro.core.ppep import PPEP, PPEPSnapshot, stable_seed
+from repro.core.batch import BatchObservation
+from repro.core.ppep import PPEP, stable_seed
 from repro.faults.injection import FaultInjector, FaultSpec
 from repro.fleet.engine import FleetEngine
 from repro.fleet.registry import ModelRegistry
@@ -189,53 +187,6 @@ class FleetSimulator:
             chip_power=powers,
             instructions_per_second=rates,
             groups=groups,
-        )
-
-    def analyze(self, samples: Sequence[IntervalSample]) -> List[PPEPSnapshot]:
-        """Full per-node snapshots, predictions computed batched.
-
-        The all-VF predictions come from the batched path; the
-        current-operating-point estimate (which handles per-CU VF mixes)
-        uses the scalar pipeline per node, as it is not on the fleet hot
-        path.
-        """
-        self._check_alignment(samples)
-        snapshots: List[Optional[PPEPSnapshot]] = [None] * len(self.nodes)
-        for ppep, node_ids in self._groups:
-            group_samples = [samples[i] for i in node_ids]
-            batch = ppep.batched_predictor().predict_samples(group_samples)
-            for row, i in enumerate(node_ids):
-                snapshots[i] = self._snapshot(ppep, samples[i], batch, row)
-        return snapshots
-
-    def _snapshot(
-        self,
-        ppep: PPEP,
-        sample: IntervalSample,
-        batch: BatchPrediction,
-        row: int,
-    ) -> PPEPSnapshot:
-        states = ppep.core_states(sample)
-        predictions = {}
-        for t, vf_index in enumerate(batch.vf_indices):
-            vf = ppep.spec.vf_table.by_index(int(vf_index))
-            predictions[int(vf_index)] = VFPrediction(
-                vf=vf,
-                core_cpis=tuple(float(c) for c in batch.core_cpis[row, :, t]),
-                instructions_per_second=float(
-                    batch.instructions_per_second[row, t]
-                ),
-                dynamic_power=float(batch.dynamic_power[row, t]),
-                idle_power=float(batch.idle_power[row, t]),
-                nb_power=float(batch.nb_power[row, t]),
-            )
-        return PPEPSnapshot(
-            time=sample.time,
-            temperature=sample.temperature,
-            measured_power=sample.measured_power,
-            states=states,
-            predictions=predictions,
-            current_estimate=ppep.estimate_current(sample, states),
         )
 
     def _check_alignment(self, samples: Sequence[IntervalSample]) -> None:

@@ -18,8 +18,6 @@ import math
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
-import numpy as np
-
 from repro.obs.events import EventLog
 from repro.obs.metrics import get_registry
 
@@ -173,7 +171,7 @@ class LedgerRecord:
     operating point), ``predicted_power`` / ``measured_power`` /
     ``interval_s``, ``error`` (predicted minus measured, watts),
     ``predicted_cpi`` / ``realized_cpi`` (None when unavailable, e.g.
-    batched fleet rows that only price power), ``quality`` (the
+    fleet rows that only price power), ``quality`` (the
     telemetry-filter verdict, if filtered), and ``drift`` (whether
     this row tripped the CUSUM detector).
     """
@@ -430,137 +428,6 @@ class PredictionLedger:
                     rolling_mae=state.abs_stats.mean,
                 )
         return row
-
-    def record_many(self, rows: List[dict]) -> List[LedgerRecord]:
-        """Ingest one interval's rows for many nodes in column ops.
-
-        ``rows`` is a list of :meth:`record` keyword dicts, one per
-        node.  Error columns (signed / absolute / relative) and every
-        calibrated CUSUM update advance as NumPy array operations over
-        the row axis; the per-node rolling windows then absorb the
-        precomputed columns in a tight loop.  Results -- statistics,
-        drift verdicts, rows, event emission order -- are bit-identical
-        to calling :meth:`record` per row in order.
-
-        The columnar CUSUM path requires one row per node (the fleet
-        case: each interval records every node once); duplicate nodes
-        fall back to sequential :meth:`record` calls, which that access
-        pattern implies anyway.
-        """
-        if not rows:
-            return []
-        names = [r["node"] for r in rows]
-        if len(set(names)) != len(names):
-            return [self.record(**r) for r in rows]
-        predicted = np.array([float(r["predicted_power"]) for r in rows])
-        measured = np.array([float(r["measured_power"]) for r in rows])
-        errors = predicted - measured
-        abs_errors = np.abs(errors)
-        denoms = np.abs(measured)
-        denom_ok = denoms > 1e-12
-        rel_errors = np.where(
-            denom_ok, abs_errors / np.where(denom_ok, denoms, 1.0), 0.0
-        )
-
-        states = [self._node(name) for name in names]
-        # Calibrated CUSUM updates as one column op (uncalibrated nodes
-        # are still filling their calibration prefix and stay scalar).
-        calibrated = np.array(
-            [state.detector.calibrated for state in states], dtype=bool
-        )
-        drift = np.zeros(len(rows), dtype=bool)
-        ci = np.nonzero(calibrated)[0]
-        if ci.size:
-            means = np.array([states[i].detector.mean for i in ci])
-            stds = np.array([states[i].detector.std for i in ci])
-            stats = np.array([states[i].detector.statistic for i in ci])
-            slacks = np.array([states[i].detector.slack for i in ci])
-            thresholds = np.array([states[i].detector.threshold for i in ci])
-            z = (abs_errors[ci] - means) / stds
-            stats = np.maximum(0.0, stats + z - slacks)
-            tripped = stats > thresholds
-            stats = np.where(tripped, 0.0, stats)
-            for pos, i in enumerate(ci):
-                states[i].detector.statistic = float(stats[pos])
-            drift[ci] = tripped
-
-        registry = get_registry()
-        out: List[LedgerRecord] = []
-        n_drift = 0
-        for i, (r, state) in enumerate(zip(rows, states)):
-            abs_error = float(abs_errors[i])
-            state.abs_stats.add(abs_error)
-            state.rel_stats.add(float(rel_errors[i]))
-            state.records += 1
-            vf_index = r["vf_index"]
-            vf_stats = self._per_vf.get(vf_index)
-            if vf_stats is None:
-                vf_stats = self._per_vf[vf_index] = (
-                    RollingStats(self.window),
-                    RollingStats(self.window),
-                )
-            vf_stats[0].add(abs_error)
-            vf_stats[1].add(float(rel_errors[i]))
-            if not calibrated[i]:
-                state.calibration.append(abs_error)
-                if len(state.calibration) >= self.calibration_intervals:
-                    mean = sum(state.calibration) / len(state.calibration)
-                    var = sum(
-                        (v - mean) ** 2 for v in state.calibration
-                    ) / len(state.calibration)
-                    state.detector.calibrate(mean, math.sqrt(var))
-                    state.calibration = []
-            row = LedgerRecord(
-                node=r["node"],
-                interval=int(r["interval"]),
-                vf_index=int(vf_index),
-                predicted_power=float(predicted[i]),
-                measured_power=float(measured[i]),
-                interval_s=float(r["interval_s"]),
-                error=float(errors[i]),
-                predicted_cpi=r.get("predicted_cpi"),
-                realized_cpi=r.get("realized_cpi"),
-                quality=r.get("quality"),
-                drift=bool(drift[i]),
-            )
-            if self.keep_records:
-                self.records.append(row)
-            if registry.enabled:
-                registry.gauge(state.gauge_name).set(state.abs_stats.mean)
-            if row.drift:
-                self.drift_flags.append(
-                    (row.node, row.interval, self.cusum_threshold)
-                )
-                n_drift += 1
-            if self.events is not None:
-                self.events.emit(
-                    "prediction",
-                    node=row.node,
-                    interval=row.interval,
-                    vf_index=row.vf_index,
-                    predicted_power=row.predicted_power,
-                    measured_power=row.measured_power,
-                    error=row.error,
-                    interval_s=row.interval_s,
-                    predicted_cpi=row.predicted_cpi,
-                    realized_cpi=row.realized_cpi,
-                    quality=row.quality,
-                )
-                if row.drift:
-                    self.events.emit(
-                        "drift",
-                        node=row.node,
-                        interval=row.interval,
-                        statistic=self.cusum_threshold,
-                        threshold=self.cusum_threshold,
-                        rolling_mae=state.abs_stats.mean,
-                    )
-            out.append(row)
-        if registry.enabled:
-            registry.counter("obs.ledger.records").inc(float(len(rows)))
-            if n_drift:
-                registry.counter("obs.ledger.drift_flags").inc(float(n_drift))
-        return out
 
     # -- checkpointing -------------------------------------------------------
 

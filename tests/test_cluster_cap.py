@@ -123,7 +123,6 @@ class TestClusterPowerManager:
         ``predict_mixed`` gives the applied decision on the cleaned
         sample -- whether it is the capper's own decision (whose price
         is reused) or a held one on a non-actionable interval."""
-        from repro.faults.filtering import BatchTelemetryFilter
         from repro.faults.injection import FaultSpec
         from repro.obs.ledger import PredictionLedger
 
@@ -145,16 +144,16 @@ class TestClusterPowerManager:
             fleet, 6 * 52.0, policy="waterfill", harden=True,
             ledger=PredictionLedger(),
         )
-        # Record the filter's verdicts: each carries the cleaned sample
-        # the cappers decided from.
-        verdicts = []
-        filters = manager._filters
+        # Record each node filter's verdict: it carries the cleaned
+        # sample the node's capper decided from.
+        verdicts = [None] * len(fleet.nodes)
+        for i, telemetry_filter in enumerate(manager._filters):
 
-        def ingest_many(samples):
-            verdicts[:] = BatchTelemetryFilter.ingest_many(filters, samples)
-            return list(verdicts)
+            def ingest(sample, i=i, ingest=telemetry_filter.ingest):
+                verdicts[i] = ingest(sample)
+                return verdicts[i]
 
-        filters.ingest_many = ingest_many
+            telemetry_filter.ingest = ingest
         reused = held = 0
         for round_index in range(30):
             held_before = list(manager._held)

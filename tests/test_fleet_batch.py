@@ -3,15 +3,15 @@
 The fleet kernel's contract is not "close".  Each batched layer is
 checked bit for bit against a per-node oracle that stays in the
 library: stepping (:class:`~repro.fleet.engine.FleetEngine`) against
-``Platform.step``, filtering
-(:class:`~repro.faults.filtering.BatchTelemetryFilter`) against
-:class:`~repro.faults.filtering.TelemetryFilter`, ledger accounting
-(:meth:`~repro.obs.ledger.PredictionLedger.record_many`) against
-``record``, capper pricing (:class:`~repro.core.ppep.MixedPricer`) and
-the term kernel (``PPEP.core_terms``) against ``PPEP.predict_mixed``
-and ``EventPredictor.predict``, and the fleet's column walk
-(:func:`~repro.dvfs.power_capping.decide_nodes`) against per-node
-``PPEPPowerCapper.decide``.
+``Platform.step``, capper pricing (:class:`~repro.core.ppep.MixedPricer`)
+and the term kernel (``PPEP.core_terms``) against
+``PPEP.predict_mixed`` and ``EventPredictor.predict``, and the fleet's
+column walk (:func:`~repro.dvfs.power_capping.decide_nodes`) against
+per-node ``PPEPPowerCapper.decide``.  Telemetry filtering and ledger
+scoring have one implementation each
+(:class:`~repro.faults.filtering.TelemetryFilter`,
+:meth:`~repro.obs.ledger.PredictionLedger.record`), which the fleet
+manager runs per node.
 
 The control plane's decision streams (fleet manager, serve shard,
 one-step capper) are pinned in
@@ -27,7 +27,6 @@ import dataclasses
 import itertools
 import json
 import os
-import random
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ import pytest
 from repro.core.batch import BatchObservation
 from repro.core.dynamic_power import dynamic_feature_vector
 from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper, decide_nodes
-from repro.faults.filtering import BatchTelemetryFilter, TelemetryFilter
 from repro.faults.injection import FaultSpec
 from repro.fleet import cluster_cap
 from repro.fleet.cluster_cap import ClusterPowerManager
@@ -619,105 +617,6 @@ class TestNodeAxisWalk:
         with pytest.raises(ValueError) as scalar:
             oracle[2].decide(samples[2])
         assert str(walked.value) == str(scalar.value)
-
-
-class TestBatchTelemetryFilter:
-    def test_bit_identical_verdicts_and_state(self, tiny_registry):
-        fleet = make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS)
-        scalar = [TelemetryFilter(n.spec) for n in fleet.nodes]
-        batch = BatchTelemetryFilter([n.spec for n in fleet.nodes])
-        for _ in range(40):
-            samples = fleet.step()
-            outs_s = [f.ingest(s) for f, s in zip(scalar, samples)]
-            outs_b = batch.ingest_many(samples)
-            for a, b in zip(outs_s, outs_b):
-                assert a.quality == b.quality
-                assert a.issues == b.issues
-                assert a.power == b.power
-                assert (
-                    a.sample.measured_power == b.sample.measured_power
-                )
-                assert list(a.sample.power_samples) == list(
-                    b.sample.power_samples
-                )
-                for ea, eb in zip(a.sample.core_events, b.sample.core_events):
-                    assert ea.as_list() == eb.as_list()
-        # Checkpoints interoperate: per-node dicts match field for field.
-        assert batch.node_state_dicts() == [f.state_dict() for f in scalar]
-
-    def test_scalar_checkpoint_restores_into_batch(self, tiny_registry):
-        fleet = make_fleet(MIXED_SPECS[:3], tiny_registry, fault_specs=FAULTS)
-        scalar = [TelemetryFilter(n.spec) for n in fleet.nodes]
-        for _ in range(15):
-            samples = fleet.step()
-            for f, s in zip(scalar, samples):
-                f.ingest(s)
-        batch = BatchTelemetryFilter([n.spec for n in fleet.nodes])
-        batch.load_node_state_dicts([f.state_dict() for f in scalar])
-        for _ in range(10):
-            samples = fleet.step()
-            outs_s = [f.ingest(s) for f, s in zip(scalar, samples)]
-            outs_b = batch.ingest_many(samples)
-            for a, b in zip(outs_s, outs_b):
-                assert (a.quality, a.issues, a.power) == (
-                    b.quality,
-                    b.issues,
-                    b.power,
-                )
-
-
-class TestRecordMany:
-    def test_matches_sequential_record(self):
-        rng = random.Random(3)
-        nodes = ["n{:02d}".format(i) for i in range(10)]
-        a, b = PredictionLedger(), PredictionLedger()
-        for t in range(50):
-            rows = []
-            for i, node in enumerate(nodes):
-                meas = 40.0 + 10 * rng.random() + (
-                    15.0 if t >= 35 and i % 3 == 0 else 0.0
-                )
-                rows.append(
-                    dict(
-                        node=node,
-                        interval=t,
-                        vf_index=1 + (i % 4),
-                        predicted_power=meas + rng.gauss(0.0, 1.5),
-                        measured_power=meas,
-                        interval_s=0.2,
-                        quality="good",
-                    )
-                )
-            for row in rows:
-                a.record(**row)
-            b.record_many(rows)
-        assert a.state_dict() == b.state_dict()
-        assert a.drift_flags == b.drift_flags
-        assert len(a.drift_flags) > 0  # the shift actually tripped CUSUM
-        for ra, rb in zip(a.records, b.records):
-            assert (ra.node, ra.interval, ra.error, ra.drift) == (
-                rb.node,
-                rb.interval,
-                rb.error,
-                rb.drift,
-            )
-
-    def test_duplicate_nodes_fall_back(self):
-        ledger = PredictionLedger()
-        rows = [
-            dict(
-                node="n0",
-                interval=t,
-                vf_index=1,
-                predicted_power=50.0,
-                measured_power=49.0,
-                interval_s=0.2,
-            )
-            for t in range(3)
-        ]
-        out = ledger.record_many(rows)
-        assert len(out) == 3
-        assert ledger._node("n0").records == 3
 
 
 class TestClusterManagerBatched:

@@ -16,6 +16,7 @@ import os
 
 import pytest
 
+from repro.fleet import ClusterPowerManager, make_fleet
 from repro.obs.events import (
     EVENT_FIELDS,
     EVENT_TYPES,
@@ -32,8 +33,29 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.report import format_report, replay
+from tests.test_fleet_batch import FAULTS, MIXED_SPECS
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "obs_events.golden.jsonl")
+
+
+def _fleet_ledger(registry):
+    """A hardened, fault-injected mixed-SKU fleet manager's live ledger
+    and event stream, run past the ledger's calibration prefix."""
+    events = EventLog()
+    ledger = PredictionLedger(calibration_intervals=16, events=events)
+    ClusterPowerManager(
+        make_fleet(MIXED_SPECS, registry, fault_specs=FAULTS),
+        cap_schedule=52.0 * len(MIXED_SPECS),
+        policy="waterfill",
+        harden=True,
+        events=events,
+        ledger=ledger,
+    ).run(28)
+    nodes = ledger.state_dict()["nodes"].values()
+    # CUSUM ran, and the filter repaired some scored intervals.
+    assert any(node["detector"]["mean"] is not None for node in nodes)
+    assert any(row.quality == "repaired" for row in ledger.records)
+    return ledger, events
 
 
 def _emit_one_of_each(events):
@@ -425,16 +447,27 @@ class TestPredictionLedger:
         self._fill(ledger, 8, error=6.0)
         assert ledger.drift_flags  # flagged well before 16 records
 
-    def test_replay_reproduces_live_drift_flags(self):
+    def _shifted_node(self):
+        """One node whose error shifts after 32 intervals."""
         events = EventLog()
         live = PredictionLedger(calibration_intervals=16, events=events)
         self._fill(live, 32, error=1.0)
         self._fill(live, 32, error=6.0, start=32)
-        replayed = PredictionLedger.from_events(
-            events.records, calibration_intervals=16
-        )
-        assert replayed.drift_flags == live.drift_flags
-        assert replayed.node_summary() == live.node_summary()
+        return live, events
+
+    def test_replay_reproduces_live_drift_flags(self, tiny_registry):
+        """Replaying the ``prediction`` events rebuilds the live ledger,
+        for one synthetic node and for a fleet manager's stream."""
+        for case, (live, events) in (
+            ("synthetic", self._shifted_node()),
+            ("fleet", _fleet_ledger(tiny_registry)),
+        ):
+            replayed = PredictionLedger.from_events(
+                events.records, calibration_intervals=16
+            )
+            assert replayed.state_dict() == live.state_dict(), case
+            assert replayed.drift_flags == live.drift_flags, case
+            assert replayed.node_summary() == live.node_summary(), case
 
     def test_keep_records_off_drops_rows_not_aggregates(self):
         ledger = PredictionLedger(keep_records=False)
