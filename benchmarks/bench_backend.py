@@ -44,10 +44,6 @@ def main(argv=None):
         "--seed", type=int, default=20141213,
         help="base seed for training, simulation, and fault schedules",
     )
-    parser.add_argument(
-        "--engine", default="vector",
-        help="simulation kernel (default: vector)",
-    )
     args = parser.parse_args(argv)
 
     from repro.experiments import backend_roundtrip
@@ -55,7 +51,7 @@ def main(argv=None):
 
     # Train before the clock starts: the gate times the boundary, not
     # model construction.
-    ctx = get_context(scale=args.scale, base_seed=args.seed, engine=args.engine)
+    ctx = get_context(scale=args.scale, base_seed=args.seed)
     ctx.full_ppep
 
     started = time.perf_counter()

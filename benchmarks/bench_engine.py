@@ -1,11 +1,13 @@
 #!/usr/bin/env python
-"""Engine speed benchmark: scalar vs vectorized roster sweep.
+"""Engine speed benchmark: the vector kernel against the scalar oracle.
 
-Runs the experiment-context roster sweep (every combination at VF5,
-cold in-memory cache) under both simulation engines and reports the
-wall-clock ratio.  Also sanity-checks the trace-cache fingerprints of
-every key the sweep would use for collisions -- a collision would make
-the disk cache silently serve the wrong trace, so it is a hard failure.
+Steps every experiment-context roster combination at VF5 twice -- once
+through the scalar oracle ``Platform._step_scalar``, once through the
+kernel ``Platform.step`` -- and reports the wall-clock ratio of the
+stepping alone (platform set-up and ``Trace`` wrapping are not timed).
+Also sanity-checks the trace-cache fingerprints of every key the
+trainer would use for collisions -- a collision would make the disk
+cache silently serve the wrong trace, so it is a hard failure.
 
 Plain script on purpose (no pytest-benchmark dependency), so CI can run
 it directly::
@@ -28,18 +30,36 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _harness import record_bench  # noqa: E402
 
 
-def sweep_seconds(engine, scale, repeats):
-    """Best-of-``repeats`` cold roster sweep under ``engine``."""
-    from repro.experiments.common import ExperimentContext
+def sweep_seconds(step, scale, repeats):
+    """Best-of-``repeats`` roster sweep at VF5, stepped by ``step``.
 
+    Each roster platform is built as :meth:`PPEPTrainer.collect_trace`
+    builds it (same seed, VF5, initial temperature), then advanced
+    ``BENCH_INTERVALS + WARMUP`` intervals by ``step(platform)``.
+    """
+    from repro.core.ppep import stable_seed
+    from repro.experiments.common import ExperimentContext
+    from repro.hardware.platform import Platform
+
+    ctx = ExperimentContext(scale=scale)
+    spec, trainer = ctx.spec, ctx.trainer
+    vf5 = spec.vf_table.fastest
+    intervals = trainer.BENCH_INTERVALS + trainer.WARMUP
     best = None
     for _ in range(repeats):
-        ctx = ExperimentContext(scale=scale, engine=engine)
-        vf5 = ctx.spec.vf_table.fastest
-        started = time.perf_counter()
+        elapsed = 0.0
         for combo in ctx.roster:
-            ctx.trace(combo, vf5)
-        elapsed = time.perf_counter() - started
+            platform = Platform(
+                spec,
+                seed=stable_seed(trainer.base_seed, combo.name, vf5.index),
+                initial_temperature=spec.ambient_temperature + 15.0,
+            )
+            platform.set_all_vf(vf5)
+            platform.set_assignment(combo.assignment(spec))
+            started = time.perf_counter()
+            for _ in range(intervals):
+                step(platform)
+            elapsed += time.perf_counter() - started
         best = elapsed if best is None else min(best, elapsed)
     return best
 
@@ -96,17 +116,19 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
+    from repro.hardware.platform import Platform
+
     total_keys, collisions = check_fingerprints(args.scale)
-    scalar_s = sweep_seconds("scalar", args.scale, args.repeats)
-    vector_s = sweep_seconds("vector", args.scale, args.repeats)
+    scalar_s = sweep_seconds(Platform._step_scalar, args.scale, args.repeats)
+    vector_s = sweep_seconds(Platform.step, args.scale, args.repeats)
     speedup = scalar_s / vector_s
 
     lines = [
-        "Engine benchmark: {}-scale roster sweep at VF5, cold cache".format(
+        "Engine benchmark: {}-scale roster sweep at VF5, stepping only".format(
             args.scale
         ),
-        "  scalar engine : {:8.1f} ms".format(scalar_s * 1000),
-        "  vector engine : {:8.1f} ms".format(vector_s * 1000),
+        "  scalar oracle : {:8.1f} ms".format(scalar_s * 1000),
+        "  vector kernel : {:8.1f} ms".format(vector_s * 1000),
         "  speedup       : {:8.2f}x  (threshold {:.1f}x)".format(
             speedup, args.min_speedup
         ),

@@ -45,10 +45,6 @@ def main(argv=None):
         "--seed", type=int, default=20141213,
         help="base seed for model training",
     )
-    parser.add_argument(
-        "--engine", default="vector",
-        help="simulation kernel (default: vector)",
-    )
     args = parser.parse_args(argv)
 
     from repro.experiments import turbostat_import
@@ -56,7 +52,7 @@ def main(argv=None):
 
     # Train before the clock starts: the gate times the import path,
     # not model construction.
-    ctx = get_context(scale=args.scale, base_seed=args.seed, engine=args.engine)
+    ctx = get_context(scale=args.scale, base_seed=args.seed)
     ctx.full_ppep
 
     started = time.perf_counter()

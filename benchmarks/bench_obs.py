@@ -61,7 +61,6 @@ def _collect_samples(ctx, intervals_per_combo):
             seed=stable_seed(ctx.base_seed, "bench-obs", combo.name),
             power_gating=ctx.spec.supports_power_gating,
             initial_temperature=ctx.spec.ambient_temperature + 15.0,
-            engine=ctx.engine,
         )
         platform.set_all_vf(ctx.spec.vf_table.fastest)
         platform.set_assignment(combo.assignment(ctx.spec))

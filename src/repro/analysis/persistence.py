@@ -115,7 +115,7 @@ def trace_fingerprint(key) -> str:
     be (a) stable across processes and Python versions -- no ``hash()``
     -- and (b) injective on the supported key types -- no separator
     ambiguity.  Keys are tuples of primitives (spec fingerprint, combo
-    name, VF index, seed, interval counts, engine, ...); 128 bits of
+    name, VF index, seed, interval counts, ...); 128 bits of
     blake2b keeps accidental collisions out of reach.
     """
     import hashlib

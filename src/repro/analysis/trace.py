@@ -161,7 +161,7 @@ class TraceLibrary:
 
     Cache invalidation is by key content only: any knob that changes
     what a simulation would produce (spec, combo, VF index, seed,
-    interval counts, engine) must be part of the key, and the trainer's
+    interval counts) must be part of the key, and the trainer's
     keys include all of them.  Nothing else is versioned -- wiping the
     directory is the escape hatch after a physics change.
 

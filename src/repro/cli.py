@@ -19,7 +19,6 @@ import time
 from typing import Dict
 
 from repro.experiments import common
-from repro.hardware.platform import Platform
 from repro.experiments import (
     ablations,
     cpi_validation,
@@ -136,14 +135,6 @@ def main(argv=None) -> int:
         "the MICRO 2014 publication date) reproduces the recorded numbers",
     )
     run_parser.add_argument(
-        "--engine",
-        choices=list(Platform.ENGINES),
-        default="vector",
-        help="simulation kernel: 'vector' batches steady slices (the "
-        "default, ~5-10x faster); 'scalar' is the reference "
-        "core-by-core loop (equivalent to 1e-9)",
-    )
-    run_parser.add_argument(
         "--trace-cache",
         default=None,
         metavar="DIR",
@@ -177,10 +168,6 @@ def main(argv=None) -> int:
         help="base seed for training, simulation, and fault schedules",
     )
     faults_parser.add_argument(
-        "--engine", choices=list(Platform.ENGINES), default="vector",
-        help="simulation kernel (see 'run --engine')",
-    )
-    faults_parser.add_argument(
         "--trace-cache", default=None, metavar="DIR",
         help="persist simulated traces to DIR (see 'run --trace-cache')",
     )
@@ -210,10 +197,6 @@ def main(argv=None) -> int:
     obs_parser.add_argument(
         "--seed", type=int, default=20141213,
         help="base seed for the --demo simulation (default: 20141213)",
-    )
-    obs_parser.add_argument(
-        "--engine", choices=list(Platform.ENGINES), default="vector",
-        help="simulation kernel for --demo (see 'run --engine')",
     )
     serve_parser = sub.add_parser(
         "serve",
@@ -355,10 +338,6 @@ def main(argv=None) -> int:
         "--seed", type=int, default=20141213,
         help="base seed for training, simulation, and fault schedules",
     )
-    backend_parser.add_argument(
-        "--engine", choices=list(Platform.ENGINES), default="vector",
-        help="simulation kernel (see 'run --engine')",
-    )
     fleet_parser = sub.add_parser(
         "fleet", help="cluster-scale capping: N nodes under one power budget"
     )
@@ -442,7 +421,6 @@ def main(argv=None) -> int:
         scale=args.scale,
         base_seed=args.seed,
         cache_dir=args.trace_cache,
-        engine=args.engine,
     )
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:
@@ -468,7 +446,6 @@ def _run_faults(args) -> int:
         scale=args.scale,
         base_seed=args.seed,
         cache_dir=args.trace_cache,
-        engine=args.engine,
     )
     if args.vf is not None:
         try:
@@ -607,9 +584,7 @@ def _run_backend(args) -> int:
         )
         return 0
 
-    ctx = common.get_context(
-        scale=args.scale, base_seed=args.seed, engine=args.engine
-    )
+    ctx = common.get_context(scale=args.scale, base_seed=args.seed)
     started = time.perf_counter()
     if args.action == "import":
         from repro.experiments import turbostat_import
@@ -681,8 +656,7 @@ def _run_obs(args) -> int:
         # (EventLog appends); start the demo from an empty file.
         if os.path.exists(path):
             os.unlink(path)
-        ctx = common.get_context(scale=args.scale, base_seed=args.seed,
-                                 engine=args.engine)
+        ctx = common.get_context(scale=args.scale, base_seed=args.seed)
         started = time.perf_counter()
         ledger, _events = obs_drift.record_demo(ctx, path=path)
         print(

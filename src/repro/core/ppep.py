@@ -541,14 +541,10 @@ class PPEPTrainer:
         base_seed: int = 20141213,
         bench_intervals: int = None,
         cool_intervals: int = None,
-        engine: str = "vector",
     ) -> None:
         # Any integer works; everything derived from the seed is stable.
         self.spec = spec
         self.base_seed = base_seed
-        if engine not in Platform.ENGINES:
-            raise ValueError("engine must be one of {}".format(Platform.ENGINES))
-        self.engine = engine
         if bench_intervals is not None:
             if bench_intervals < 2:
                 raise ValueError("bench_intervals must be >= 2")
@@ -564,10 +560,8 @@ class PPEPTrainer:
         """A cache key that pins everything a simulation depends on.
 
         The spec enters as a content fingerprint (not its name), and the
-        seed, engine, and interval counts are explicit -- so a disk
-        cache can never serve a trace produced under different physics,
-        and the two engines (equivalent only to 1e-9, not bit-exact)
-        never share entries.
+        seed and interval counts are explicit -- so a disk cache can
+        never serve a trace produced under different physics.
         """
         from repro.fleet.registry import spec_fingerprint
 
@@ -576,7 +570,6 @@ class PPEPTrainer:
             kind,
             spec_fingerprint(self.spec),
             self.base_seed,
-            self.engine,
         ) + parts
 
     def collect_cooling(
@@ -593,7 +586,6 @@ class PPEPTrainer:
                 seed=stable_seed(self.base_seed, "cooling", vf.index),
                 power_gating=False,
                 initial_temperature=self.HEAT_START_TEMPERATURE,
-                engine=self.engine,
             )
             platform.set_all_vf(vf)
             heaters = [
@@ -645,7 +637,6 @@ class PPEPTrainer:
                 seed=stable_seed(self.base_seed, combo.name, vf.index),
                 power_gating=power_gating,
                 initial_temperature=self.spec.ambient_temperature + 15.0,
-                engine=self.engine,
             )
             platform.set_all_vf(vf)
             platform.set_assignment(combo.assignment(self.spec))
@@ -700,7 +691,6 @@ class PPEPTrainer:
                     self.base_seed,
                     self.BENCH_INTERVALS,
                     self.COOL_INTERVALS,
-                    self.engine,
                 )
                 for combo, vf in missing
             ]
@@ -781,7 +771,6 @@ class PPEPTrainer:
                         ),
                         power_gating=pg,
                         initial_temperature=self.spec.ambient_temperature + 12.0,
-                        engine=self.engine,
                     )
                     platform.set_all_vf(vf)
                     instances = [bench_a() for _ in range(busy_cus)]
@@ -845,7 +834,6 @@ class PPEPTrainer:
                 seed=stable_seed(self.base_seed, "alpha", vf.index),
                 power_gating=False,
                 initial_temperature=self.spec.ambient_temperature + 12.0,
-                engine=self.engine,
             )
             platform.set_all_vf(vf)
             platform.set_assignment(
@@ -1030,13 +1018,11 @@ def _collect_trace_task(task) -> Trace:
         base_seed,
         bench_intervals,
         cool_intervals,
-        engine,
     ) = task
     trainer = PPEPTrainer(
         spec,
         base_seed=base_seed,
         bench_intervals=bench_intervals,
         cool_intervals=cool_intervals,
-        engine=engine,
     )
     return trainer.collect_trace(combo, vf, None, power_gating)

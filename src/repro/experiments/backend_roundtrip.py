@@ -141,7 +141,6 @@ def _make_platform(ctx: ExperimentContext, combo, leg: str) -> Platform:
         ctx.spec,
         seed=stable_seed(ctx.base_seed, "backend", leg, combo.name),
         initial_temperature=ctx.spec.ambient_temperature + 15.0,
-        engine=ctx.engine,
     )
     platform.set_all_vf(ctx.spec.vf_table.fastest)
     platform.set_assignment(combo.assignment(ctx.spec))

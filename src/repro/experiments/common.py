@@ -25,6 +25,7 @@ from repro.core.crossval import kfold_split
 from repro.core.idle_power import IdlePowerModel, fit_idle_power_model
 from repro.core.power_gating import PGAwareIdleModel
 from repro.core.ppep import PPEP, PPEPTrainer, stable_seed
+from repro.fleet.registry import spec_fingerprint
 from repro.hardware.microarch import ChipSpec, FX8320_SPEC
 from repro.hardware.platform import (
     CoreAssignment,
@@ -89,14 +90,12 @@ class ExperimentContext:
         scale: str = "full",
         base_seed: int = 20141213,
         cache_dir: Optional[str] = None,
-        engine: str = "vector",
     ) -> None:
         if scale not in _SCALES:
             raise ValueError("scale must be one of {}".format(_SCALES))
         self.spec = spec
         self.scale = scale
         self.base_seed = base_seed
-        self.engine = engine
         bench_intervals = 40 if scale == "full" else 12
         cool_intervals = 300 if scale == "full" else 150
         self.trainer = PPEPTrainer(
@@ -104,7 +103,6 @@ class ExperimentContext:
             base_seed=base_seed,
             bench_intervals=bench_intervals,
             cool_intervals=cool_intervals,
-            engine=engine,
         )
         if cache_dir is None:
             cache_dir = os.environ.get("REPRO_TRACE_CACHE") or None
@@ -263,7 +261,6 @@ class ExperimentContext:
             power_gating=power_gating,
             nb_vf=nb_vf,
             initial_temperature=self.spec.ambient_temperature + 15.0,
-            engine=self.engine,
         )
         platform.set_all_vf(vf)
         platform.set_assignment(
@@ -285,7 +282,7 @@ class ExperimentContext:
         )
 
 
-_CONTEXTS: Dict[Tuple[str, str, int, Optional[str], str], ExperimentContext] = {}
+_CONTEXTS: Dict[Tuple[str, str, int, Optional[str]], ExperimentContext] = {}
 
 
 def get_context(
@@ -293,24 +290,25 @@ def get_context(
     spec: ChipSpec = FX8320_SPEC,
     base_seed: int = 20141213,
     cache_dir: Optional[str] = None,
-    engine: str = "vector",
 ) -> ExperimentContext:
     """Process-wide memoised context (shared across benchmarks).
 
+    Contexts are memoised per (scale, spec content, seed, cache
+    directory): the spec enters as its
+    :func:`~repro.fleet.registry.spec_fingerprint`, so two specs that
+    share a name but differ in any field never share a context.
     ``cache_dir`` (or the ``REPRO_TRACE_CACHE`` environment variable)
     makes the context's trace library disk-backed, so a warmed cache
-    survives process restarts; ``engine`` selects the simulation kernel
-    (see :class:`~repro.hardware.platform.Platform`).
+    survives process restarts.
     """
     if cache_dir is None:
         cache_dir = os.environ.get("REPRO_TRACE_CACHE") or None
-    key = (scale, spec.name, base_seed, cache_dir, engine)
+    key = (scale, spec_fingerprint(spec), base_seed, cache_dir)
     if key not in _CONTEXTS:
         _CONTEXTS[key] = ExperimentContext(
             spec=spec,
             scale=scale,
             base_seed=base_seed,
             cache_dir=cache_dir,
-            engine=engine,
         )
     return _CONTEXTS[key]

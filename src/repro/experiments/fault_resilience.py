@@ -121,7 +121,6 @@ def _fault_platform(
         seed=stable_seed(ctx.base_seed, "fault-platform", leg, combo.name,
                          vf.index),
         initial_temperature=ctx.spec.ambient_temperature + 15.0,
-        engine=ctx.engine,
         fault_injector=injector,
     )
     platform.set_all_vf(vf)

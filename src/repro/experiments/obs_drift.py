@@ -76,7 +76,6 @@ def record_demo(
         seed=stable_seed(ctx.base_seed, "obs-drift-demo"),
         power_gating=spec.supports_power_gating,
         initial_temperature=spec.ambient_temperature + 15.0,
-        engine=ctx.engine,
     )
     platform.set_all_vf(spec.vf_table.fastest)
     workloads = [

@@ -152,9 +152,9 @@ class FaultInjector:
     """Applies a :class:`FaultSpec` to a platform's interval samples.
 
     Wraps the sensor and counter paths at their single choke point --
-    the completed :class:`IntervalSample` -- so the scalar and vectorized
-    engines are corrupted identically and neither engine's RNG
-    consumption changes.  Attach with
+    the completed :class:`IntervalSample` -- so the simulation kernel's
+    RNG consumption never changes, and the scalar test oracle is
+    corrupted exactly as :meth:`Platform.step` is.  Attach with
     ``Platform(..., fault_injector=FaultInjector(spec, seed))``.
 
     The injector is stateful across intervals only where the physical

@@ -560,37 +560,46 @@ class ClusterPowerManager:
                 )
 
     def _observe_allocation(self, cap, healthy) -> None:
-        """Quarantine-transition and budget-reallocation events."""
-        if self.events is None:
-            return
+        """Quarantine-transition and budget-reallocation events.
+
+        The transition state (``_quarantined_since``, ``_last_alloc``)
+        advances whether or not an event log is attached, so a
+        checkpoint is the same with or without one; only the ``emit``
+        calls are conditional.
+        """
+        events = self.events
         for i, node in enumerate(self.fleet.nodes):
-            if not healthy[i] and self._quarantined_since[i] is None:
+            since = self._quarantined_since[i]
+            if not healthy[i] and since is None:
                 self._quarantined_since[i] = self._step
-                self.events.emit(
-                    "quarantine_enter",
-                    node=node.name,
-                    interval=self._step,
-                    bad_streak=int(self._bad_streak[i]),
-                )
-            elif healthy[i] and self._quarantined_since[i] is not None:
-                self.events.emit(
-                    "quarantine_exit",
-                    node=node.name,
-                    interval=self._step,
-                    quarantined_intervals=self._step - self._quarantined_since[i],
-                )
+                if events is not None:
+                    events.emit(
+                        "quarantine_enter",
+                        node=node.name,
+                        interval=self._step,
+                        bad_streak=int(self._bad_streak[i]),
+                    )
+            elif healthy[i] and since is not None:
                 self._quarantined_since[i] = None
+                if events is not None:
+                    events.emit(
+                        "quarantine_exit",
+                        node=node.name,
+                        interval=self._step,
+                        quarantined_intervals=self._step - since,
+                    )
         allocation = (float(cap), tuple(healthy))
         if allocation != self._last_alloc:
             self._last_alloc = allocation
-            self.events.emit(
-                "cap_reallocation",
-                node="cluster",
-                interval=self._step,
-                budget_w=float(cap),
-                healthy_nodes=int(sum(healthy)),
-                total_nodes=len(self.fleet.nodes),
-            )
+            if events is not None:
+                events.emit(
+                    "cap_reallocation",
+                    node="cluster",
+                    interval=self._step,
+                    budget_w=float(cap),
+                    healthy_nodes=int(sum(healthy)),
+                    total_nodes=len(self.fleet.nodes),
+                )
 
     def _price_decision(self, node, sample, decision):
         """(vf_index, predicted watts) for the applied VF assignment."""

@@ -28,11 +28,11 @@ one batched struct-of-arrays pass over ``(nodes x cores)``:
   differ from ``np.exp`` in the last ulp) stay scalar per node.
 
 Nodes that are *not* whole-interval steady this interval -- phase
-boundary inside the interval, workload completion, pending stall,
-scalar-engine platform -- simply fall back to their own
-``platform.step()``, which is the per-node reference path.  Equivalence
-is therefore structural: tests assert the batched fleet produces
-bit-identical :class:`IntervalSample` streams to per-node stepping.
+boundary inside the interval, workload completion, pending stall --
+simply fall back to their own ``platform.step()``, which is the
+per-node reference path.  Equivalence is therefore structural: tests
+assert the batched fleet produces bit-identical :class:`IntervalSample`
+streams to per-node stepping.
 
 Fault injectors are applied per node after the kernel, exactly as
 :meth:`Platform.step` does, so fault-injected fleets corrupt
@@ -161,14 +161,8 @@ class FleetEngine:
     def __init__(self, nodes) -> None:
         self.nodes = list(nodes)
         groups: Dict[tuple, List] = {}
-        self._fallback_only: List[int] = []
         for i, node in enumerate(self.nodes):
             p = node.platform
-            if getattr(p, "_vector_engine", None) is None:
-                # Scalar-engine platforms have no row cache to batch
-                # from; they always take the per-node reference path.
-                self._fallback_only.append(i)
-                continue
             key = (id(p.spec), p.slices_per_interval, p.slice_s)
             groups.setdefault(key, []).append(i)
         self._groups: List[Tuple[_Group, List[int]]] = []
@@ -195,8 +189,6 @@ class FleetEngine:
         bit-identical to ``[node.platform.step() for node in nodes]``.
         """
         samples = self._samples
-        for i in self._fallback_only:
-            samples[i] = self.nodes[i].platform.step()
         self.last_batched = 0
         for group, idx in self._groups:
             self._step_group(group, idx, samples)

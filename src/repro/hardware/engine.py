@@ -1,13 +1,14 @@
-"""The vectorized interval engine (``Platform(engine="vector")``).
+"""The interval kernel behind every :meth:`Platform.step`.
 
 :meth:`Platform.step` has to advance 10 sub-slices x 8 cores x an
 8-iteration NB-contention fixed point per 200 ms interval, and every
-experiment in the reproduction funnels through it.  The scalar loop is
-dominated by per-slice Python overhead that is *redundant* whenever the
-interval is steady: no phase boundary, no workload completion, no
-VF-transition stall.  In that regime every sub-slice of the interval
-executes the same single segment with the same CPI, the same event
-rates, and the same contention fixed point.
+experiment in the reproduction funnels through it.  The platform's
+reference per-slice loop, kept only as a test oracle and benchmark
+baseline, is dominated by per-slice Python overhead that is
+*redundant* whenever the interval is steady: no phase boundary, no
+workload completion, no VF-transition stall.  In that regime every
+sub-slice of the interval executes the same single segment with the
+same CPI, the same event rates, and the same contention fixed point.
 
 :class:`VectorEngine` exploits exactly that structure:
 
@@ -36,13 +37,13 @@ sync, and control actions (VF changes, migration, reassignment) need no
 special handling: derived rows are revalidated against the live state.
 
 Numerical contract (asserted by ``tests/test_engine.py``): every field
-of every :class:`IntervalSample` matches the scalar engine to a relative
-tolerance of 1e-9.  The fast path reassociates a handful of products
-and sums (hoisted leakage prefixes, fused per-instruction energy
-coefficients, ``k`` repeated additions becoming one multiply-add),
-which perturbs results at the 1e-15 level; branch decisions (phase
-exhaustion, workload completion) are protected by margins ~1e6 times
-wider than that drift.
+of every :class:`IntervalSample` matches the scalar oracle to a
+relative tolerance of 1e-9.  The fast path reassociates a handful of
+products and sums (hoisted leakage prefixes, fused per-instruction
+energy coefficients, ``k`` repeated additions becoming one
+multiply-add), which perturbs results at the 1e-15 level; branch
+decisions (phase exhaustion, workload completion) are protected by
+margins ~1e6 times wider than that drift.
 """
 
 from __future__ import annotations
@@ -310,7 +311,7 @@ class VectorEngine:
 
     def step(self):
         """Advance one 200 ms interval; returns an :class:`IntervalSample`
-        equal (to 1e-9) to what the scalar engine would produce."""
+        equal (to 1e-9) to what the scalar oracle would produce."""
         from repro.hardware.platform import IntervalSample
         from repro.hardware.sensor import PowerSensor
 
@@ -328,7 +329,7 @@ class VectorEngine:
 
         # Pre-draw the interval's noise.  Generator.normal(size=n)
         # yields the identical stream to n sequential scalar draws, so
-        # RNG consumption order matches the scalar engine exactly.
+        # RNG consumption order matches the scalar oracle exactly.
         process_draws = p._process_rng.normal(
             0.0, spec.power_process_noise, size=slices_per_interval
         )

@@ -187,26 +187,18 @@ class Platform:
         the cost at 200 ms granularity) are unaffected, but reactive
         policies that thrash VF states can be studied with it enabled.
         Capped at one 20 ms sub-slice.
-    engine:
-        ``"vector"`` (default) steps intervals through the batched
-        :class:`~repro.hardware.engine.VectorEngine`; ``"scalar"`` keeps
-        the reference per-slice loop.  The two are numerically
-        equivalent to 1e-9 (asserted in ``tests/test_engine.py``).
     fault_injector:
         Optional :class:`~repro.faults.injection.FaultInjector` applied
         to every delivered interval sample.  It corrupts only the
-        observable fields after the interval is fully simulated, so both
-        engines are corrupted identically and no fault-free RNG stream
-        is perturbed; with ``None`` (or a disabled spec) output is
-        bitwise identical to an injector-free platform.
+        observable fields after the interval is fully simulated, so no
+        fault-free RNG stream is perturbed; with ``None`` (or a disabled
+        spec) output is bitwise identical to an injector-free platform.
     slices_per_interval / slice_s:
         The decision-interval geometry.  Defaults reproduce the paper's
         200 ms interval of ten 20 ms power samples; a platform built
         with a different geometry stamps its ``interval_s`` on every
         emitted sample so downstream rate normalisation stays correct.
     """
-
-    ENGINES = ("vector", "scalar")
 
     def __init__(
         self,
@@ -216,7 +208,6 @@ class Platform:
         nb_vf: VFState = None,
         initial_temperature: float = None,
         vf_transition_penalty_s: float = 0.0,
-        engine: str = "vector",
         fault_injector=None,
         slices_per_interval: int = SLICES_PER_INTERVAL,
         slice_s: float = SLICE_S,
@@ -250,19 +241,11 @@ class Platform:
         self._pending_stall: List[float] = [0.0] * spec.num_cus
         self._time = 0.0
         self._interval_index = 0
-        if engine not in self.ENGINES:
-            raise ValueError(
-                "engine must be one of {}, got {!r}".format(self.ENGINES, engine)
-            )
-        self.engine = engine
         self.fault_injector = fault_injector
-        if engine == "vector":
-            # Deferred import: engine.py needs this module's constants.
-            from repro.hardware.engine import VectorEngine
+        # Deferred import: engine.py needs this module's constants.
+        from repro.hardware.engine import VectorEngine
 
-            self._vector_engine = VectorEngine(self)
-        else:
-            self._vector_engine = None
+        self._vector_engine = VectorEngine(self)
 
     # -- control surface (what a DVFS daemon can do) -------------------------
 
@@ -337,16 +320,20 @@ class Platform:
 
     def step(self) -> IntervalSample:
         """Advance one 200 ms DVFS decision interval."""
-        if self._vector_engine is not None:
-            sample = self._vector_engine.step()
-        else:
-            sample = self._step_scalar()
+        sample = self._vector_engine.step()
         if self.fault_injector is not None:
             sample = self.fault_injector.apply(sample)
         return sample
 
     def _step_scalar(self) -> IntervalSample:
-        """The reference per-slice interval loop (``engine="scalar"``)."""
+        """The reference per-slice interval loop, without fault injection.
+
+        Not a production path: :meth:`step` always runs the
+        :class:`~repro.hardware.engine.VectorEngine`.  This loop is kept
+        as the test oracle the vector kernel is checked against (to
+        1e-9, in ``tests/test_engine.py``) and as the baseline of the
+        ``benchmarks/bench_engine.py`` speedup gate.
+        """
         spec = self.spec
         power_samples: List[float] = []
         breakdowns: List[PowerBreakdown] = []

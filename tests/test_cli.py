@@ -27,11 +27,12 @@ class TestCLI:
 
     def test_seed_flag_reseeds_context(self, capsys):
         from repro.experiments import common
+        from repro.fleet.registry import spec_fingerprint
 
         assert main(["run", "table1", "--scale", "quick", "--seed", "7"]) == 0
         assert "finished in" in capsys.readouterr().out
         assert (
-            "quick", common.FX8320_SPEC.name, 7, None, "vector"
+            "quick", spec_fingerprint(common.FX8320_SPEC), 7, None
         ) in common._CONTEXTS
 
     def test_unknown_experiment_rejected(self):

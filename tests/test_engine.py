@@ -1,12 +1,16 @@
-"""Scalar vs vectorized engine equivalence.
+"""The vector kernel against the scalar oracle.
 
-The vectorized engine batches steady slices but must reproduce the
-scalar reference path's interval samples -- same RNG draw order, same
-arithmetic to within 1e-9 relative (batching reassociates a few sums at
-the 1e-15 level; see ``repro/hardware/engine.py``).  These tests sweep
-the scenarios that exercise every fallback path: idle cores, mixed
-rosters, VF transitions with a non-zero switching penalty, power gating,
-migration, NB states, and finite workloads completing mid-interval.
+:meth:`Platform.step` always runs the batched
+:class:`~repro.hardware.engine.VectorEngine`.  The per-slice reference
+loop survives as the private ``Platform._step_scalar``, and
+:class:`ScalarPlatform` (a test-only subclass) steps through it, so the
+kernel must reproduce the oracle's interval samples -- same RNG draw
+order, same arithmetic to within 1e-9 relative (batching reassociates a
+few sums at the 1e-15 level; see ``repro/hardware/engine.py``).  These
+tests sweep the scenarios that exercise every fallback path: idle
+cores, mixed rosters, VF transitions with a non-zero switching penalty,
+power gating, migration, NB states, and finite workloads completing
+mid-interval.
 """
 
 import pytest
@@ -65,10 +69,25 @@ def assert_equivalent(scalar_samples, vector_samples):
             assert a == pytest.approx(b, rel=REL_TOL, abs=1e-12)
 
 
+class ScalarPlatform(Platform):
+    """A platform stepped by the scalar oracle instead of the kernel.
+
+    ``step`` mirrors :meth:`Platform.step` exactly -- the interval
+    loop, then the fault injector -- so ``run`` and
+    ``run_until_finished`` work unchanged.
+    """
+
+    def step(self):
+        sample = self._step_scalar()
+        if self.fault_injector is not None:
+            sample = self.fault_injector.apply(sample)
+        return sample
+
+
 def _pair(spec=FX8320_SPEC, seed=7, **kwargs):
-    return tuple(
-        Platform(spec, seed=seed, engine=engine, **kwargs)
-        for engine in ("scalar", "vector")
+    return (
+        ScalarPlatform(spec, seed=seed, **kwargs),
+        Platform(spec, seed=seed, **kwargs),
     )
 
 
@@ -160,17 +179,10 @@ class TestEngineEquivalence:
 
 
 class TestEngineSelection:
-    def test_vector_is_default(self):
-        assert Platform(FX8320_SPEC).engine == "vector"
-
-    def test_invalid_engine_rejected(self):
-        with pytest.raises(ValueError):
-            Platform(FX8320_SPEC, engine="cuda")
-
     def test_vector_deterministic(self):
         runs = []
         for _ in range(2):
-            p = Platform(FX8320_SPEC, seed=3, engine="vector")
+            p = Platform(FX8320_SPEC, seed=3)
             p.set_assignment(
                 CoreAssignment.packed(_mixed_roster(p.spec.num_cores))
             )

@@ -1,10 +1,14 @@
 """Unit tests for experiment plumbing that works on small inputs
 (no full context training required)."""
 
+import dataclasses
+
 import pytest
 
+from repro.experiments import common
 from repro.experiments.common import ExperimentContext, FixedWorkRun, _quick_roster
 from repro.experiments.cpi_validation import single_thread_combo
+from repro.hardware.microarch import FX8320_SPEC
 from repro.workloads.suites import Suite, spec_program
 
 
@@ -40,6 +44,19 @@ class TestContextConstruction:
             len(groups["SPE"]) + len(groups["PAR"]) + len(groups["NPB"])
             == len(ctx.roster)
         )
+
+    def test_same_name_specs_get_distinct_contexts(self, monkeypatch):
+        # get_context memoises by spec content, not spec name: a variant
+        # that keeps FX8320's name must not be served FX8320's context.
+        monkeypatch.setattr(common, "_CONTEXTS", {})
+        variant = dataclasses.replace(FX8320_SPEC, base_power=8.0)
+        assert variant.name == FX8320_SPEC.name
+        stock = common.get_context(scale="quick")
+        other = common.get_context(scale="quick", spec=variant)
+        assert other is not stock
+        assert stock.spec is FX8320_SPEC
+        assert other.spec is variant
+        assert common.get_context(scale="quick", spec=variant) is other
 
 
 class TestFixedWorkRun:

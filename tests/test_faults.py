@@ -37,17 +37,18 @@ from repro.hardware.platform import (
     Platform,
 )
 from repro.workloads.synthetic import make_mixed
+from tests.test_engine import ScalarPlatform
 
 SPEC = FX8320_SPEC
 
 
-def _busy_platform(fault_spec=None, injector_seed=7, seed=123, engine="vector"):
+def _busy_platform(fault_spec=None, injector_seed=7, seed=123, cls=Platform):
     injector = (
         FaultInjector(fault_spec, seed=injector_seed)
         if fault_spec is not None
         else None
     )
-    platform = Platform(SPEC, seed=seed, engine=engine, fault_injector=injector)
+    platform = cls(SPEC, seed=seed, fault_injector=injector)
     platform.set_assignment(
         CoreAssignment.one_per_cu(SPEC, [make_mixed("t")] * SPEC.num_cus)
     )
@@ -108,9 +109,9 @@ class TestInjectorDeterminism:
         assert injector.apply(sample) is sample
 
     def test_disabled_spec_trace_bitwise_identical(self):
-        for engine in ("vector", "scalar"):
-            clean = _busy_platform(engine=engine)
-            injected = _busy_platform(FaultSpec(), engine=engine)
+        for cls in (Platform, ScalarPlatform):
+            clean = _busy_platform(cls=cls)
+            injected = _busy_platform(FaultSpec(), cls=cls)
             for _ in range(10):
                 a, b = clean.step(), injected.step()
                 assert a.power_samples == b.power_samples
@@ -152,8 +153,8 @@ class TestInjectorDeterminism:
 
     def test_engines_corrupted_identically(self):
         fault_spec = FaultSpec.sensor_faults(0.1)
-        vec = _busy_platform(fault_spec, engine="vector")
-        sca = _busy_platform(fault_spec, engine="scalar")
+        vec = _busy_platform(fault_spec)
+        sca = _busy_platform(fault_spec, cls=ScalarPlatform)
         for _ in range(20):
             a, b = vec.step(), sca.step()
             assert a.faults == b.faults

@@ -133,14 +133,14 @@ def _jsonable(value):
     return json.loads(json.dumps(value))
 
 
-def _fleet_manager(registry):
+def _fleet_manager(registry, evented=True):
     return ClusterPowerManager(
         make_fleet(MIXED_SPECS, registry, fault_specs=FAULTS),
         cap_schedule=420.0,
         policy="waterfill",
         harden=True,
         ledger=PredictionLedger(),
-        events=EventLog(),
+        events=EventLog() if evented else None,
     )
 
 
@@ -661,6 +661,19 @@ class TestClusterManagerBatched:
                 "run": _run_rows(tail, first_round=20),
                 "state_30": _jsonable(manager.state_dict()),
             },
+        )
+
+    def test_checkpoint_does_not_depend_on_the_event_log(self, tiny_registry):
+        # Quarantine and allocation transitions are checkpoint state: a
+        # manager with no event log must save the evented golden state,
+        # or resuming it into an evented manager re-emits old entries.
+        golden = load_goldens()["fleet"]
+        manager = _fleet_manager(tiny_registry, evented=False)
+        manager.run(20)
+        assert_same_stream(
+            "fleet",
+            {"state_20": golden["state_20"]},
+            {"state_20": _jsonable(manager.state_dict())},
         )
 
     def test_on_disk_event_log_survives_quarantine(self, tiny_registry, tmp_path):

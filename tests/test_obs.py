@@ -325,7 +325,7 @@ class TestEventLogBuffering:
 
         ctx = SimpleNamespace(
             full_ppep=_BoomPPEP(), spec=FX8320_SPEC,
-            base_seed=20141213, engine="vector",
+            base_seed=20141213,
         )
         path = str(tmp_path / "demo.jsonl")
         with pytest.raises(RuntimeError, match="model exploded"):
