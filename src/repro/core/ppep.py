@@ -25,8 +25,6 @@ the ``bench_A`` busy-CU sweep for the power-gating decomposition.
 from __future__ import annotations
 
 import hashlib
-import logging
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -71,12 +69,6 @@ __all__ = [
     "TrainingData",
     "stable_seed",
 ]
-
-# Library convention: repro.* modules log through their module logger and
-# never configure the root logger -- handlers/levels belong to the
-# application (the CLI, a test harness), not to imported code.
-logger = logging.getLogger(__name__)
-
 
 def stable_seed(*parts: object) -> int:
     """A reproducible 32-bit seed from arbitrary key parts."""
@@ -647,111 +639,6 @@ class PPEPTrainer:
             return library.get_or_run(key, produce)
         return produce()
 
-    def collect_many(
-        self,
-        requests: Sequence[Tuple[BenchmarkCombination, VFState]],
-        library: Optional[TraceLibrary] = None,
-        power_gating: bool = False,
-        max_workers: Optional[int] = None,
-    ) -> List[Trace]:
-        """Traces for many (combo, VF) pairs, fanning out to workers.
-
-        Each trace comes from an independently seeded platform whose
-        seed depends only on (base_seed, combo, VF), so the result is
-        deterministic and identical for ANY worker count -- parallelism
-        changes wall-clock, never content.  Already-cached traces are
-        not re-simulated.  ``max_workers=0`` (or 1) forces the in-process
-        sequential path; ``None`` picks ``os.cpu_count()``.  If a
-        process pool cannot be used (no fork support, unpicklable
-        workload objects), the fan-out degrades to the sequential path
-        rather than failing.
-        """
-        requests = list(requests)
-        if library is None:
-            library = TraceLibrary()
-        missing = [
-            (combo, vf)
-            for combo, vf in requests
-            if library.get(
-                self._trace_key(
-                    "bench", combo.name, vf.index, power_gating,
-                    self.BENCH_INTERVALS, self.WARMUP,
-                )
-            )
-            is None
-        ]
-        parallel = max_workers is None or max_workers > 1
-        if missing and len(missing) > 1 and parallel:
-            tasks = [
-                (
-                    self.spec,
-                    combo,
-                    vf,
-                    power_gating,
-                    self.base_seed,
-                    self.BENCH_INTERVALS,
-                    self.COOL_INTERVALS,
-                )
-                for combo, vf in missing
-            ]
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-                from concurrent.futures.process import BrokenProcessPool
-
-                try:
-                    with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                        produced = list(pool.map(_collect_trace_task, tasks))
-                except BrokenProcessPool as exc:
-                    # A worker died (OOM kill, interpreter crash).
-                    logger.warning(
-                        "trace-collection pool broke (%s); falling back to "
-                        "sequential simulation of %d traces",
-                        exc,
-                        len(missing),
-                    )
-                    produced = None
-                except (pickle.PicklingError, TypeError, AttributeError) as exc:
-                    # The task tuple (spec/workload objects) failed to
-                    # pickle on the way to a worker.
-                    logger.warning(
-                        "trace-collection tasks are not picklable (%s: %s); "
-                        "falling back to sequential simulation",
-                        type(exc).__name__,
-                        exc,
-                    )
-                    produced = None
-                except OSError as exc:
-                    # No fork support / process limits / fd exhaustion.
-                    logger.warning(
-                        "cannot start trace-collection workers (%s); "
-                        "falling back to sequential simulation",
-                        exc,
-                    )
-                    produced = None
-            except ImportError as exc:  # pragma: no cover - exotic builds
-                logger.warning(
-                    "concurrent.futures unavailable (%s); using sequential "
-                    "simulation",
-                    exc,
-                )
-                produced = None
-            if produced is not None:
-                for (combo, vf), trace in zip(missing, produced):
-                    library.misses += 1
-                    library.put(
-                        self._trace_key(
-                            "bench", combo.name, vf.index, power_gating,
-                            self.BENCH_INTERVALS, self.WARMUP,
-                        ),
-                        trace,
-                    )
-        # Sequential path doubles as the fill-in for anything the pool
-        # did not produce; collect_trace is a no-op for cached keys.
-        return [
-            self.collect_trace(combo, vf, library, power_gating)
-            for combo, vf in requests
-        ]
-
     def collect_pg_sweep(
         self, vf: VFState, library: Optional[TraceLibrary] = None
     ) -> Tuple[List[float], List[float]]:
@@ -1001,28 +888,3 @@ class PPEPTrainer:
             events.emit("model_retrain", spec=self.spec.name, seconds=seconds)
         return PPEP(self.spec, idle_model, dynamic_model, pg_model)
 
-
-def _collect_trace_task(task) -> Trace:
-    """Process-pool worker for :meth:`PPEPTrainer.collect_many`.
-
-    Module-level so it pickles; rebuilds a trainer from the task tuple
-    and simulates one trace.  Everything the simulation depends on
-    travels in the tuple, so a worker produces byte-identical samples to
-    the in-process path.
-    """
-    (
-        spec,
-        combo,
-        vf,
-        power_gating,
-        base_seed,
-        bench_intervals,
-        cool_intervals,
-    ) = task
-    trainer = PPEPTrainer(
-        spec,
-        base_seed=base_seed,
-        bench_intervals=bench_intervals,
-        cool_intervals=cool_intervals,
-    )
-    return trainer.collect_trace(combo, vf, None, power_gating)

@@ -105,35 +105,31 @@ class PPEPPowerCapper(DVFSController):
     of nodes at once.
     """
 
+    #: Fraction of the budget the walk aims for.
+    margin = 0.97
+    #: EWMA gain of the measured/predicted bias corrector.  PPEP's
+    #: per-workload prediction bias is systematic, so one interval
+    #: of power-sensor feedback removes most of it -- exactly the
+    #: correction a firmware implementation would apply.
+    bias_gain = 0.25
+
     def __init__(
-        self,
-        ppep: PPEP,
-        cap_schedule: Union[CapSchedule, float],
-        margin: float = 0.97,
-        bias_gain: float = 0.25,
+        self, ppep: PPEP, cap_schedule: Union[CapSchedule, float]
     ) -> None:
         self.ppep = ppep
         self._schedule = (
             cap_schedule if callable(cap_schedule) else (lambda _s: float(cap_schedule))
         )
-        if not 0.0 < margin <= 1.0:
-            raise ValueError("margin must lie in (0, 1]")
-        if not 0.0 <= bias_gain <= 1.0:
-            raise ValueError("bias_gain must lie in [0, 1]")
-        self.margin = margin
-        #: EWMA gain of the measured/predicted bias corrector.  PPEP's
-        #: per-workload prediction bias is systematic, so one interval
-        #: of power-sensor feedback removes most of it -- exactly the
-        #: correction a firmware implementation would apply.
-        self.bias_gain = bias_gain
         self._step = 0
         self._bias = 1.0
         self._last_predicted = None
+        self._pricer = None
 
     def reset(self) -> None:
         self._step = 0
         self._bias = 1.0
         self._last_predicted = None
+        self._pricer = None
 
     def state_dict(self) -> dict:
         """The controller's closed-loop state: schedule step, EWMA bias,
@@ -165,6 +161,15 @@ class PPEPPowerCapper(DVFSController):
         before the first decision."""
         return self._last_predicted
 
+    def price(self, assignment: Sequence[VFState]) -> float:
+        """Predicted chip power of ``assignment`` on the sample
+        :meth:`decide` last saw, from the pricer its walk filled (no
+        second pass over the core states).  Cappers that only
+        :func:`decide_nodes` drives have none."""
+        if self._pricer is None:
+            raise RuntimeError("price() needs a decide() first")
+        return self._pricer.price(assignment)[0]
+
     def _advance(self, measured_power: float) -> float:
         """Open one decision: the bias corrector's update, then this
         interval's effective cap (the schedule step advances)."""
@@ -176,7 +181,6 @@ class PPEPPowerCapper(DVFSController):
         return cap
 
     def decide(self, sample: IntervalSample) -> Sequence[VFState]:
-        cap = self._advance(sample.measured_power)
         spec = self.ppep.spec
         table = spec.vf_table
         states = self.ppep.core_states(sample)
@@ -184,12 +188,16 @@ class PPEPPowerCapper(DVFSController):
         # same observation; the pricer caches the per-(core, VF) terms
         # so each candidate is a cheap sum (bit-identical to
         # predict_mixed, which dominates the fleet hot loop otherwise).
-        price = self.ppep.mixed_pricer(
+        pricer = self.ppep.mixed_pricer(
             states, sample.temperature, sample.power_gating
-        ).price
+        )
+        price = pricer.price
 
         assignment: List[VFState] = [table.fastest] * spec.num_cus
+        # The fastest price reaches the idle model first: a sample the
+        # model rejects raises here, before the capper's state moves.
         power, perf = price(assignment)
+        cap = self._advance(sample.measured_power)
         while power > cap:
             best_cu = None
             best_score = None
@@ -238,6 +246,7 @@ class PPEPPowerCapper(DVFSController):
                 assignment, power, perf = best_state
                 improved = True
         self._last_predicted = power
+        self._pricer = pricer
         return assignment
 
 

@@ -170,35 +170,6 @@ class ExperimentContext:
         """The (cached) trace of one combination at one VF state."""
         return self.trainer.collect_trace(combo, vf, self.library)
 
-    def warm_up(self, max_workers: Optional[int] = None) -> Dict[str, int]:
-        """Fill the trace library with everything training touches.
-
-        Bench traces at VF5 fan out through
-        :meth:`~repro.core.ppep.PPEPTrainer.collect_many` (parallel when
-        ``max_workers`` allows); the cooling, alpha, and PG-sweep runs
-        follow sequentially (a handful each).  With a disk-backed
-        library this pre-populates the cache so later contexts -- even
-        in fresh processes -- simulate nothing; the returned counter
-        snapshot says how much work warm-up actually did.
-        """
-        vf5 = self.spec.vf_table.fastest
-        self.trainer.collect_many(
-            [(combo, vf5) for combo in self.roster],
-            self.library,
-            max_workers=max_workers,
-        )
-        self.trainer.collect_all_cooling(self.library)
-        for vf in self.spec.vf_table:
-            self.trainer.collect_alpha_calibration(vf, library=self.library)
-        if self.spec.supports_power_gating:
-            for vf in self.spec.vf_table:
-                self.trainer.collect_pg_sweep(vf, self.library)
-        return {
-            "memory_hits": self.library.memory_hits,
-            "disk_hits": self.library.disk_hits,
-            "misses": self.library.misses,
-        }
-
     # -- fitted models ----------------------------------------------------------------
 
     def _fit_fold(self, train: Sequence[BenchmarkCombination]) -> PPEP:

@@ -338,12 +338,16 @@ class TelemetryFilter:
 class HardenedPPEP:
     """A :class:`~repro.core.ppep.PPEP` behind a :class:`TelemetryFilter`.
 
-    Convenience wrapper for the common online loop: each call validates
-    the delivered sample, runs the underlying model on the cleaned copy,
+    Single-node wrapper for the online loop of the ``obs`` drift demo
+    and the observability overhead bench: each call validates the
+    delivered sample, runs the underlying model on the cleaned copy,
     and returns the model output together with the
     :class:`FilteredInterval` verdict.  Call exactly one of the methods
     per delivered interval (each :meth:`TelemetryFilter.ingest` consumes
-    one slot of filter history).
+    one slot of filter history).  Its ledger rows score an in-interval
+    estimate; the fleet manager and the serve shard score the capper's
+    one-step-ahead price instead
+    (:class:`~repro.fleet.cluster_cap.NodeControl`).
 
     Optional observability wiring: pass ``events`` (a
     :class:`repro.obs.events.EventLog`) to emit a ``filter_verdict``
@@ -369,19 +373,6 @@ class HardenedPPEP:
         self.events = events
         self.ledger = ledger
         self._interval = 0
-
-    def reset(self) -> None:
-        self.filter.reset()
-        self._interval = 0
-
-    def state_dict(self) -> dict:
-        """Filter state plus the interval counter (the model itself is
-        immutable at serve time and is restored from its own artifact)."""
-        return {"filter": self.filter.state_dict(), "interval": self._interval}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.filter.load_state_dict(state["filter"])
-        self._interval = int(state["interval"])
 
     def _observe(self, filtered: FilteredInterval, estimate: float, predicted_cpi=None) -> None:
         """Emit the verdict event and the ledger row for one interval."""

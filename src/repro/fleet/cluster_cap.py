@@ -51,6 +51,7 @@ __all__ = [
     "ALLOCATION_POLICIES",
     "ClusterPowerManager",
     "FleetCappingRun",
+    "NodeControl",
     "allocate_budget",
     "allocate_with_quarantine",
 ]
@@ -201,6 +202,172 @@ class FleetCappingRun:
         )
 
 
+class NodeControl:
+    """One node's control policy around its one-step capper.
+
+    :class:`ClusterPowerManager` runs one per fleet node and
+    :class:`~repro.serve.shard.ShardPipeline` one per roster node.  It
+    holds the node's streak of consecutive non-actionable intervals,
+    the interval its quarantine began, the last actionable VF
+    assignment (re-applied on BAD intervals) and the one-step-ahead
+    price queued for the prediction ledger.  A ``verdict`` of ``None``
+    stands for an unfiltered stream, where every interval is
+    actionable.
+    """
+
+    #: Checkpointed fields; each product keeps one entry per node per key.
+    STATE_KEYS = ("bad_streak", "quarantined_since", "held", "pending")
+
+    def __init__(self, name: str, ppep, unhealthy_after: int) -> None:
+        self.name = name
+        self.ppep = ppep
+        self.unhealthy_after = unhealthy_after
+        self.reset()
+
+    def reset(self) -> None:
+        self.bad_streak = 0
+        self.quarantined_since = None
+        self.held = None
+        self.pending = None
+
+    @property
+    def healthy(self) -> bool:
+        return self.bad_streak < self.unhealthy_after
+
+    def report(self, events, interval: int, verdict) -> None:
+        """Emit ``filter_verdict`` for a REPAIRED or BAD interval.
+
+        GOOD intervals stay silent: their quality rides on the
+        prediction row, and one event per node per interval would
+        dominate the stream.  Without an event log this does nothing.
+        """
+        if events is not None and verdict.quality != GOOD:
+            events.emit(
+                "filter_verdict",
+                node=self.name,
+                interval=interval,
+                quality=verdict.quality,
+                issues=list(verdict.issues),
+            )
+
+    def score(self, ledger, interval: int, sample, verdict, price=None) -> None:
+        """Record the ledger row for the VF assignment ``sample`` ran.
+
+        If the node ran the assignment applied last interval (always, in
+        a closed loop like the fleet's), the row scores the price queued
+        for it: the one-step-ahead accuracy the Figure 7 capping property
+        rests on.  Otherwise (a serve sender that does not apply the
+        shard's decisions) it scores ``price(sample.cu_vfs)``, the
+        in-interval fit of what the node ran, or nothing without a
+        ``price``.  BAD intervals carry stale readings that would pin
+        the error stats to garbage, so they record nothing.
+        """
+        if verdict is not None and not verdict.actionable:
+            return
+        ran = [vf.index for vf in sample.cu_vfs]
+        pending, held = self.pending, self.held
+        # The queued price is for the held assignment whenever one is
+        # held (settle keeps them so); one queued with nothing held, on
+        # a non-actionable interval, names only CU 0's state.
+        if pending is not None and (
+            ran[0] == pending[0] if held is None else ran == [vf.index for vf in held]
+        ):
+            vf_index, predicted = pending
+        elif price is not None:
+            vf_index, predicted = ran[0], price(sample.cu_vfs)
+        else:
+            return
+        ledger.record(
+            node=self.name,
+            interval=interval,
+            vf_index=vf_index,
+            predicted_power=predicted,
+            measured_power=sample.measured_power,
+            interval_s=sample.interval_s,
+            quality=None if verdict is None else verdict.quality,
+        )
+
+    def advance(self, verdict) -> bool:
+        """Count the interval into the bad streak; whether still healthy."""
+        actionable = verdict is None or verdict.actionable
+        self.bad_streak = 0 if actionable else self.bad_streak + 1
+        return self.healthy
+
+    def transition(self, events, interval: int) -> None:
+        """Enter or leave quarantine as the streak dictates.
+
+        The entry interval advances whether or not an event log is
+        attached, so a checkpoint is the same with or without one.
+        """
+        since = self.quarantined_since
+        if not self.healthy and since is None:
+            self.quarantined_since = interval
+            if events is not None:
+                events.emit(
+                    "quarantine_enter",
+                    node=self.name,
+                    interval=interval,
+                    bad_streak=self.bad_streak,
+                )
+        elif self.healthy and since is not None:
+            self.quarantined_since = None
+            if events is not None:
+                events.emit(
+                    "quarantine_exit",
+                    node=self.name,
+                    interval=interval,
+                    quarantined_intervals=interval - since,
+                )
+
+    def settle(self, decision, capper, sample, verdict, queue: bool = True):
+        """The VF assignment to apply in place of the capper's ``decision``.
+
+        A quarantined node is pinned to its slowest state and queues no
+        price: its telemetry is not coming back.  A non-actionable
+        interval re-applies the held assignment, priced again on the
+        cleaned ``sample``.  Otherwise the capper's decision applies, is
+        held if the interval was actionable, and queues the capper's own
+        price of it (``last_predicted``) unless ``queue`` is false.
+        """
+        if not self.healthy:
+            self.held = None
+            self.pending = None
+            spec = self.ppep.spec
+            return [spec.vf_table.slowest] * spec.num_cus
+        if verdict is not None and not verdict.actionable and self.held is not None:
+            decision = list(self.held)
+            if queue:
+                power, _rate = self.ppep.predict_mixed(
+                    self.ppep.core_states(sample),
+                    sample.temperature,
+                    decision,
+                    sample.power_gating,
+                )
+                self.pending = (decision[0].index, float(power))
+            return decision
+        if verdict is None or verdict.actionable:
+            self.held = list(decision)
+        if queue:
+            self.pending = (decision[0].index, float(capper.last_predicted))
+        return decision
+
+    def state_dict(self) -> dict:
+        return {
+            "bad_streak": self.bad_streak,
+            "quarantined_since": self.quarantined_since,
+            "held": None if self.held is None else [vf.index for vf in self.held],
+            "pending": None if self.pending is None else list(self.pending),
+        }
+
+    def load_state_dict(self, state: dict) -> None:
+        streak, since, held, pending = (state[key] for key in self.STATE_KEYS)
+        table = self.ppep.spec.vf_table
+        self.bad_streak = int(streak)
+        self.quarantined_since = None if since is None else int(since)
+        self.held = None if held is None else [table.by_index(int(i)) for i in held]
+        self.pending = None if pending is None else (int(pending[0]), float(pending[1]))
+
+
 class ClusterPowerManager:
     """Apportions a cluster budget; nodes run one-step PPEP capping.
 
@@ -213,8 +380,6 @@ class ClusterPowerManager:
         constant), e.g. :func:`repro.dvfs.power_capping.square_wave_cap`.
     policy:
         One of :data:`ALLOCATION_POLICIES`.
-    margin / bias_gain:
-        Forwarded to each node's :class:`PPEPPowerCapper`.
     harden:
         Filter every node's telemetry through its own
         :class:`~repro.faults.filtering.TelemetryFilter` before
@@ -244,12 +409,13 @@ class ClusterPowerManager:
         replays.
 
     Each interval steps the fleet in one
-    :class:`~repro.fleet.engine.FleetEngine` pass, filters and scores
-    node by node (the same filter and ledger code the serve shard
-    runs), prices every VF state of every node in one batched pass per
+    :class:`~repro.fleet.engine.FleetEngine` pass, filters node by
+    node, prices every VF state of every node in one batched pass per
     model group, then runs the per-node cappers' greedy walks as one
     :func:`~repro.dvfs.power_capping.decide_nodes` column pass per
-    model group.
+    model group.  Each node's streak, quarantine, held assignment and
+    ledger price live in a :class:`NodeControl`, the policy the serve
+    shard runs per node too.
     """
 
     def __init__(
@@ -257,8 +423,6 @@ class ClusterPowerManager:
         fleet: FleetSimulator,
         cap_schedule: Union[CapSchedule, float],
         policy: str = "proportional",
-        margin: float = 0.97,
-        bias_gain: float = 0.25,
         harden: bool = False,
         unhealthy_after: int = 3,
         filter_config: FilterConfig = None,
@@ -280,7 +444,7 @@ class ClusterPowerManager:
         )
         self._budgets = [ExternalBudget() for _ in fleet.nodes]
         self._cappers = [
-            PPEPPowerCapper(node.ppep, budget, margin=margin, bias_gain=bias_gain)
+            PPEPPowerCapper(node.ppep, budget)
             for node, budget in zip(fleet.nodes, self._budgets)
         ]
         self.harden = bool(harden)
@@ -290,13 +454,13 @@ class ClusterPowerManager:
             if self.harden
             else None
         )
-        self._bad_streak = np.zeros(len(fleet.nodes), dtype=np.int64)
-        self._held = [None] * len(fleet.nodes)
+        self._controls = [
+            NodeControl(node.name, node.ppep, self.unhealthy_after)
+            for node in fleet.nodes
+        ]
         self._step = 0
         self.events = events
         self.ledger = ledger
-        self._quarantined_since = [None] * len(fleet.nodes)
-        self._pending = [None] * len(fleet.nodes)
         self._last_alloc = None
 
     def reset(self) -> None:
@@ -306,10 +470,8 @@ class ClusterPowerManager:
         if self._filters is not None:
             for telemetry_filter in self._filters:
                 telemetry_filter.reset()
-        self._bad_streak = np.zeros(len(self.fleet.nodes), dtype=np.int64)
-        self._held = [None] * len(self.fleet.nodes)
-        self._quarantined_since = [None] * len(self.fleet.nodes)
-        self._pending = [None] * len(self.fleet.nodes)
+        for control in self._controls:
+            control.reset()
         self._last_alloc = None
 
     def state_dict(self) -> dict:
@@ -319,19 +481,14 @@ class ClusterPowerManager:
         and budget state, per-node filter state, and the last emitted
         allocation signature (so a restart does not re-emit a duplicate
         ``cap_reallocation`` event)."""
+        controls = [control.state_dict() for control in self._controls]
         return {
             "nodes": [node.name for node in self.fleet.nodes],
             "step": self._step,
-            "bad_streak": [int(s) for s in self._bad_streak],
-            "held": [
-                None if held is None else [vf.index for vf in held]
-                for held in self._held
-            ],
-            "quarantined_since": list(self._quarantined_since),
-            "pending": [
-                None if pending is None else [pending[0], pending[1]]
-                for pending in self._pending
-            ],
+            **{
+                key: [control[key] for control in controls]
+                for key in NodeControl.STATE_KEYS
+            },
             "last_alloc": (
                 None
                 if self._last_alloc is None
@@ -364,25 +521,10 @@ class ClusterPowerManager:
                 )
             )
         self._step = int(state["step"])
-        self._bad_streak = np.array(
-            [int(s) for s in state["bad_streak"]], dtype=np.int64
-        )
-        self._held = [
-            None
-            if held is None
-            else [
-                node.spec.vf_table.by_index(int(index)) for index in held
-            ]
-            for node, held in zip(self.fleet.nodes, state["held"])
-        ]
-        self._quarantined_since = [
-            None if since is None else int(since)
-            for since in state["quarantined_since"]
-        ]
-        self._pending = [
-            None if pending is None else (int(pending[0]), float(pending[1]))
-            for pending in state["pending"]
-        ]
+        for i, control in enumerate(self._controls):
+            control.load_state_dict(
+                {key: state[key][i] for key in NodeControl.STATE_KEYS}
+            )
         self._last_alloc = (
             None
             if state["last_alloc"] is None
@@ -428,29 +570,28 @@ class ClusterPowerManager:
         record = FleetCappingRun(
             node_names=[node.name for node in self.fleet.nodes]
         )
+        controls = self._controls
+        queue = self.ledger is not None
         for _ in range(n_intervals):
             samples = self.fleet.step()
+            step = self._step
             if self.harden:
-                filtered = [f.ingest(s) for f, s in zip(self._filters, samples)]
-                actionable = np.fromiter(
-                    (verdict.actionable for verdict in filtered),
-                    dtype=bool,
-                    count=len(filtered),
-                )
-                self._bad_streak = np.where(
-                    actionable, 0, self._bad_streak + 1
-                )
-                healthy = [
-                    bool(h) for h in self._bad_streak < self.unhealthy_after
-                ]
-                clean = [verdict.sample for verdict in filtered]
+                verdicts = [f.ingest(s) for f, s in zip(self._filters, samples)]
+                clean = [verdict.sample for verdict in verdicts]
+                for control, verdict in zip(controls, verdicts):
+                    control.report(self.events, step, verdict)
             else:
-                filtered = None
-                healthy = [True] * len(self.fleet.nodes)
+                verdicts = [None] * len(samples)
                 clean = samples
-            self._observe_interval(samples, filtered)
+            healthy = [
+                control.advance(verdict)
+                for control, verdict in zip(controls, verdicts)
+            ]
+            if self.ledger is not None:
+                for control, sample, verdict in zip(controls, samples, verdicts):
+                    control.score(self.ledger, step, sample, verdict)
             prediction = self.fleet.predict(clean)
-            cap = self._schedule(self._step)
+            cap = self._schedule(step)
             shares = allocate_with_quarantine(
                 self.policy, cap, prediction.demand, prediction.floor, healthy
             )
@@ -470,38 +611,12 @@ class ClusterPowerManager:
                 )
                 for i, decision in zip(node_ids, chosen):
                     decisions[i] = decision
-            for i, (node, capper, decision) in enumerate(
-                zip(self.fleet.nodes, self._cappers, decisions)
+            for node, capper, control, decision, sample, verdict in zip(
+                self.fleet.nodes, self._cappers, controls, decisions, clean, verdicts
             ):
-                held = False
-                if not healthy[i]:
-                    decision = [node.spec.vf_table.slowest] * node.spec.num_cus
-                    self._held[i] = None
-                elif filtered is not None and not filtered[i].actionable:
-                    if self._held[i] is not None:
-                        decision = list(self._held[i])
-                        held = True
-                else:
-                    self._held[i] = list(decision)
-                for cu, vf in enumerate(decision):
+                applied = control.settle(decision, capper, sample, verdict, queue)
+                for cu, vf in enumerate(applied):
                     node.platform.set_cu_vf(cu, vf)
-                if self.ledger is not None:
-                    # A quarantined node's telemetry is not coming back;
-                    # pricing its pinned decision would only queue rows
-                    # that the staleness guard above discards anyway.
-                    # The capper already priced its own decision from
-                    # this very sample; only a held one needs pricing.
-                    if not healthy[i]:
-                        self._pending[i] = None
-                    elif held:
-                        self._pending[i] = self._price_decision(
-                            node, clean[i], decision
-                        )
-                    else:
-                        self._pending[i] = (
-                            decision[0].index,
-                            float(capper.last_predicted),
-                        )
             record.caps.append(cap)
             record.node_powers.append([s.measured_power for s in samples])
             record.shares.append([float(s) for s in shares])
@@ -509,85 +624,23 @@ class ClusterPowerManager:
                 [s.total_instructions() for s in samples]
             )
             record.node_true_powers.append([s.true_power for s in samples])
-            if filtered is not None:
-                record.node_quality.append([v.quality for v in filtered])
-                record.node_healthy.append(list(healthy))
+            if self.harden:
+                record.node_quality.append([v.quality for v in verdicts])
+                record.node_healthy.append(healthy)
             self._step += 1
         return record
-
-    def _observe_interval(self, samples, filtered) -> None:
-        """Per-interval observability: verdict events + ledger rows.
-
-        The ledger pairs the power predicted *last* interval for the VF
-        assignment the manager applied with the power the node's
-        telemetry now reports -- the one-step-ahead accuracy that the
-        Figure 7 capping property rests on.
-        """
-        if self.events is not None and filtered is not None:
-            for node, verdict in zip(self.fleet.nodes, filtered):
-                if verdict.quality == GOOD:
-                    # GOOD intervals stay silent: their quality rides on
-                    # the prediction row, and one event per node per
-                    # interval would dominate the stream.
-                    continue
-                self.events.emit(
-                    "filter_verdict",
-                    node=node.name,
-                    interval=self._step,
-                    quality=verdict.quality,
-                    issues=list(verdict.issues),
-                )
-        if self.ledger is not None:
-            for i, (node, sample) in enumerate(zip(self.fleet.nodes, samples)):
-                pending = self._pending[i]
-                if pending is None:
-                    continue
-                if filtered is not None and not filtered[i].actionable:
-                    # A dropped-out or otherwise broken stream delivers
-                    # stale readings; scoring last interval's prediction
-                    # against them would pin the ledger's error stats to
-                    # garbage, so BAD intervals record nothing.
-                    continue
-                vf_index, predicted = pending
-                self.ledger.record(
-                    node=node.name,
-                    interval=self._step,
-                    vf_index=vf_index,
-                    predicted_power=predicted,
-                    measured_power=sample.measured_power,
-                    interval_s=sample.interval_s,
-                    quality=filtered[i].quality if filtered is not None else None,
-                )
 
     def _observe_allocation(self, cap, healthy) -> None:
         """Quarantine-transition and budget-reallocation events.
 
-        The transition state (``_quarantined_since``, ``_last_alloc``)
-        advances whether or not an event log is attached, so a
-        checkpoint is the same with or without one; only the ``emit``
-        calls are conditional.
+        The transition state (each node's quarantine start,
+        ``_last_alloc``) advances whether or not an event log is
+        attached, so a checkpoint is the same with or without one; only
+        the ``emit`` calls are conditional.
         """
         events = self.events
-        for i, node in enumerate(self.fleet.nodes):
-            since = self._quarantined_since[i]
-            if not healthy[i] and since is None:
-                self._quarantined_since[i] = self._step
-                if events is not None:
-                    events.emit(
-                        "quarantine_enter",
-                        node=node.name,
-                        interval=self._step,
-                        bad_streak=int(self._bad_streak[i]),
-                    )
-            elif healthy[i] and since is not None:
-                self._quarantined_since[i] = None
-                if events is not None:
-                    events.emit(
-                        "quarantine_exit",
-                        node=node.name,
-                        interval=self._step,
-                        quarantined_intervals=self._step - since,
-                    )
+        for control in self._controls:
+            control.transition(events, self._step)
         allocation = (float(cap), tuple(healthy))
         if allocation != self._last_alloc:
             self._last_alloc = allocation
@@ -600,12 +653,3 @@ class ClusterPowerManager:
                     healthy_nodes=int(sum(healthy)),
                     total_nodes=len(self.fleet.nodes),
                 )
-
-    def _price_decision(self, node, sample, decision):
-        """(vf_index, predicted watts) for the applied VF assignment."""
-        states = node.ppep.core_states(sample)
-        power, _rate = node.ppep.predict_mixed(
-            states, sample.temperature, decision, sample.power_gating
-        )
-        return decision[0].index, float(power)
-

@@ -2,9 +2,10 @@
 
 A shard's whole resumable state -- per-node filter state, the shared
 prediction ledger's rolling windows and CUSUM accumulators, per-node
-capper/budget state, quarantine streaks, and the processed-interval
-counters -- serialises to one JSON document.  Writes go through a
-temporary file in the destination directory followed by ``os.replace``
+capper/budget state, quarantine streaks, held decisions and queued
+ledger prices, and the processed-interval counters -- serialises to one
+JSON document.  Writes go through a temporary file in the destination
+directory followed by ``os.replace``
 (the same crash-safety pattern as the npz trace cache), so a snapshot is
 either the complete previous checkpoint or the complete new one, never a
 torn hybrid.  A checkpoint that fails to parse on load is treated as
@@ -29,7 +30,9 @@ __all__ = ["CHECKPOINT_VERSION", "Checkpointer", "read_checkpoint", "write_check
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+#: Bumped whenever a shard checkpoint's layout changes, so an older
+#: checkpoint reads as a cold start instead of failing to load.
+CHECKPOINT_VERSION = 2
 
 
 def write_checkpoint(path: str, state: dict, chaos=None) -> None:
@@ -90,11 +93,12 @@ def write_checkpoint(path: str, state: dict, chaos=None) -> None:
 
 
 def read_checkpoint(path: str) -> Optional[dict]:
-    """Load a checkpoint, or ``None`` when absent/unreadable/newer.
+    """Load a checkpoint, or ``None`` when absent/unreadable/of another
+    version.
 
-    An unreadable or future-versioned checkpoint logs a warning and
-    reads as a cold start; losing one period of state is recoverable,
-    refusing to boot is not.
+    An unreadable checkpoint, or one of any other version, logs a
+    warning and reads as a cold start; losing one period of state is
+    recoverable, refusing to boot is not.
     """
     try:
         with open(path, encoding="utf-8") as handle:

@@ -2,11 +2,12 @@
 
 A shard owns every node of one chip SKU.  It loads exactly one trained
 model (via the :class:`~repro.fleet.registry.ModelRegistry` the manager
-hands it) and runs the unchanged hardened pipeline per delivered
-interval: ``TelemetryFilter -> HardenedPPEP -> PredictionLedger`` per
-node, plus the cluster-capping layer (quarantine on bad-telemetry
-streaks, demand/floor pricing through the batched predictor, budget
-allocation, per-node one-step cappers) across the shard's nodes.
+hands it) and runs, per delivered interval, the node's
+:class:`~repro.faults.filtering.TelemetryFilter`, one-step
+:class:`~repro.dvfs.power_capping.PPEPPowerCapper` and the fleet
+manager's per-node policy (:class:`~repro.fleet.cluster_cap.NodeControl`:
+quarantine, held decisions, ledger rows), plus budget allocation across
+the shard's nodes from demand/floor pricing through the batched predictor.
 
 Two layers live here:
 
@@ -22,7 +23,6 @@ Two layers live here:
 from __future__ import annotations
 
 import logging
-import os
 import queue
 import signal
 import time
@@ -31,8 +31,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper
-from repro.faults.filtering import FilterConfig, HardenedPPEP
-from repro.fleet.cluster_cap import allocate_with_quarantine
+from repro.faults.filtering import FilterConfig, TelemetryFilter
+from repro.fleet.cluster_cap import NodeControl, allocate_with_quarantine
 from repro.hardware.platform import IntervalSample
 from repro.obs.events import EventLog
 from repro.obs.ledger import PredictionLedger
@@ -80,14 +80,18 @@ class ShardPipeline:
         to the slowest VF decision and granted only its floor power
         (:func:`~repro.fleet.cluster_cap.allocate_with_quarantine`, the
         same split the fleet manager uses).
-    events / ledger_kwargs / filter_config / margin / bias_gain:
+    events / ledger_kwargs / filter_config:
         Observability sink and pipeline tunables.
 
     Nodes deliver intervals asynchronously, so the shard batches across
     nodes only at the allocation round; within an interval each node's
     :class:`~repro.dvfs.power_capping.PPEPPowerCapper` prices its
     candidates through the cached
-    :class:`~repro.core.ppep.MixedPricer`.
+    :class:`~repro.core.ppep.MixedPricer`.  The ledger scores the
+    filter's cleaned power against the capper's one-step-ahead price of
+    the decision, as the fleet manager's does, when the node ran it;
+    a sender that does not apply decisions is scored on that pricer's
+    in-interval fit of what it ran.
     """
 
     def __init__(
@@ -102,8 +106,6 @@ class ShardPipeline:
         filter_config: Optional[FilterConfig] = None,
         events: Optional[EventLog] = None,
         ledger_kwargs: Optional[dict] = None,
-        margin: float = 0.97,
-        bias_gain: float = 0.25,
     ) -> None:
         if not node_names:
             raise ValueError("a shard needs at least one node")
@@ -124,27 +126,14 @@ class ShardPipeline:
         self.ledger = PredictionLedger(events=events, **(ledger_kwargs or {}))
         self._budgets: Dict[str, ExternalBudget] = {}
         self._cappers: Dict[str, PPEPPowerCapper] = {}
-        self._hardened: Dict[str, HardenedPPEP] = {}
+        self._filters: Dict[str, TelemetryFilter] = {}
+        self._controls: Dict[str, NodeControl] = {}
         for name in self.node_names:
             budget = ExternalBudget(self.budget_w / len(self.node_names))
             self._budgets[name] = budget
-            self._cappers[name] = PPEPPowerCapper(
-                ppep, budget, margin=margin, bias_gain=bias_gain
-            )
-            self._hardened[name] = HardenedPPEP(
-                ppep,
-                config=filter_config,
-                node=name,
-                events=events,
-                ledger=self.ledger,
-            )
-        self._bad_streak = {name: 0 for name in self.node_names}
-        self._quarantined_since: Dict[str, Optional[int]] = {
-            name: None for name in self.node_names
-        }
-        self._held: Dict[str, Optional[List[int]]] = {
-            name: None for name in self.node_names
-        }
+            self._cappers[name] = PPEPPowerCapper(ppep, budget)
+            self._filters[name] = TelemetryFilter(ppep.spec, filter_config)
+            self._controls[name] = NodeControl(name, ppep, self.unhealthy_after)
         #: Cleaned samples of the in-flight allocation round.
         self._round: Dict[str, IntervalSample] = {}
         self._last_alloc = None
@@ -157,54 +146,49 @@ class ShardPipeline:
     def process(self, node: str, sample: IntervalSample) -> dict:
         """Run one delivered interval through the hardened pipeline.
 
-        Returns a summary dict (quality verdict, power estimate, the VF
-        decision the service would push to the node, health).
+        Returns a summary dict (quality verdict, health, the VF decision
+        the service would push to the node).
         """
-        if node not in self._hardened:
+        control = self._controls.get(node)
+        if control is None:
             raise KeyError(
                 "node {!r} is not on shard {!r}'s roster".format(node, self.sku)
             )
         interval = self.intervals[node]
-        estimate, filtered = self._hardened[node].estimate_current(sample)
+        verdict = self._filters[node].ingest(sample)
+        # The capper always sees the cleaned sample so its bias
+        # corrector and schedule step stay in lockstep with the stream,
+        # even when its decision is overridden below.  A sample the
+        # model rejects raises here, having moved only the node's filter.
+        capper = self._cappers[node]
+        chosen = capper.decide(verdict.sample)
         self.intervals[node] = interval + 1
         self.processed += 1
 
-        streak = 0 if filtered.actionable else self._bad_streak[node] + 1
-        self._bad_streak[node] = streak
-        healthy = streak < self.unhealthy_after
-        self._observe_health(node, interval, healthy)
-
-        # The capper always sees the cleaned sample so its bias
-        # corrector and schedule step stay in lockstep with the stream,
-        # even when its decision is overridden below.
-        decision = [vf.index for vf in self._cappers[node].decide(filtered.sample)]
-        if not healthy:
-            decision = [self.spec.vf_table.slowest.index] * self.spec.num_cus
-            self._held[node] = None
-        elif not filtered.actionable:
-            if self._held[node] is not None:
-                decision = list(self._held[node])
-        else:
-            if (
-                self.events is not None
-                and self._held[node] is not None
-                and decision != self._held[node]
-            ):
+        control.report(self.events, interval, verdict)
+        control.score(self.ledger, interval, verdict.sample, verdict, capper.price)
+        healthy = control.advance(verdict)
+        control.transition(self.events, interval)
+        previous = control.held
+        applied = control.settle(chosen, capper, verdict.sample, verdict)
+        decision = [vf.index for vf in applied]
+        if self.events is not None and healthy and verdict.actionable and previous:
+            held = [vf.index for vf in previous]
+            if decision != held:
                 self.events.emit(
                     "vf_transition",
                     node=node,
                     interval=interval,
-                    from_vf=list(self._held[node]),
+                    from_vf=held,
                     to_vf=list(decision),
                 )
-            self._held[node] = list(decision)
 
         if node in self._round:
             # The node lapped a straggler: close the round with whoever
             # delivered (an absent node's stream is dead or lagging; its
             # budget share simply stays where the last round put it).
             self._allocate_round()
-        self._round[node] = filtered.sample
+        self._round[node] = verdict.sample
         if len(self._round) == len(self.node_names):
             self._allocate_round()
 
@@ -221,38 +205,16 @@ class ShardPipeline:
                 sku=self.sku,
                 vf_index=list(decision),
                 delivery_index=self.processed - 1,
-                quality=filtered.quality,
+                quality=verdict.quality,
             )
 
         return {
             "node": node,
             "interval": interval,
-            "quality": filtered.quality,
+            "quality": verdict.quality,
             "healthy": healthy,
-            "estimate_w": float(estimate),
             "decision": decision,
         }
-
-    def _observe_health(self, node: str, interval: int, healthy: bool) -> None:
-        since = self._quarantined_since[node]
-        if not healthy and since is None:
-            self._quarantined_since[node] = interval
-            if self.events is not None:
-                self.events.emit(
-                    "quarantine_enter",
-                    node=node,
-                    interval=interval,
-                    bad_streak=self._bad_streak[node],
-                )
-        elif healthy and since is not None:
-            self._quarantined_since[node] = None
-            if self.events is not None:
-                self.events.emit(
-                    "quarantine_exit",
-                    node=node,
-                    interval=interval,
-                    quarantined_intervals=interval - since,
-                )
 
     def _allocate_round(self) -> None:
         """Split the shard budget across the round's nodes.
@@ -269,11 +231,7 @@ class ShardPipeline:
         self._round = {}
         batch = self.ppep.batched_predictor().predict_samples(samples)
         healthy = np.array(
-            [
-                self._bad_streak[n] < self.unhealthy_after
-                for n in names
-            ],
-            dtype=bool,
+            [self._controls[n].healthy for n in names], dtype=bool
         )
         shares = allocate_with_quarantine(
             self.policy, self.budget_w, batch.demand, batch.floor, healthy
@@ -308,17 +266,18 @@ class ShardPipeline:
         allocation -- well inside the one-checkpoint-period restart
         guarantee.
         """
+        controls = {
+            name: control.state_dict() for name, control in self._controls.items()
+        }
         return {
             "sku": self.sku,
             "nodes": list(self.node_names),
             "processed": self.processed,
             "allocations": self.allocations,
             "intervals": dict(self.intervals),
-            "bad_streak": dict(self._bad_streak),
-            "quarantined_since": dict(self._quarantined_since),
-            "held": {
-                name: None if held is None else list(held)
-                for name, held in self._held.items()
+            **{
+                key: {name: control[key] for name, control in controls.items()}
+                for key in NodeControl.STATE_KEYS
             },
             "last_alloc": (
                 None
@@ -337,9 +296,9 @@ class ShardPipeline:
                 name: capper.state_dict()
                 for name, capper in self._cappers.items()
             },
-            "hardened": {
-                name: hardened.state_dict()
-                for name, hardened in self._hardened.items()
+            "filters": {
+                name: telemetry_filter.state_dict()
+                for name, telemetry_filter in self._filters.items()
             },
             "ledger": self.ledger.state_dict(),
         }
@@ -356,17 +315,10 @@ class ShardPipeline:
         self.intervals = {
             name: int(v) for name, v in state["intervals"].items()
         }
-        self._bad_streak = {
-            name: int(v) for name, v in state["bad_streak"].items()
-        }
-        self._quarantined_since = {
-            name: None if v is None else int(v)
-            for name, v in state["quarantined_since"].items()
-        }
-        self._held = {
-            name: None if held is None else [int(i) for i in held]
-            for name, held in state["held"].items()
-        }
+        for name, control in self._controls.items():
+            control.load_state_dict(
+                {key: state[key][name] for key in NodeControl.STATE_KEYS}
+            )
         self._last_alloc = (
             None
             if state["last_alloc"] is None
@@ -380,8 +332,8 @@ class ShardPipeline:
             self._budgets[name].load_state_dict(budget_state)
         for name, capper_state in state["cappers"].items():
             self._cappers[name].load_state_dict(capper_state)
-        for name, hardened_state in state["hardened"].items():
-            self._hardened[name].load_state_dict(hardened_state)
+        for name, filter_state in state["filters"].items():
+            self._filters[name].load_state_dict(filter_state)
         self.ledger.load_state_dict(state["ledger"])
         self._round = {}
 
@@ -405,8 +357,8 @@ class ShardPipeline:
         semantics lifted to the service level.
         """
         return {
-            name: None if held is None else list(held)
-            for name, held in self._held.items()
+            name: None if control.held is None else [vf.index for vf in control.held]
+            for name, control in self._controls.items()
         }
 
     def stats(self) -> dict:
@@ -415,7 +367,9 @@ class ShardPipeline:
             "processed": self.processed,
             "allocations": self.allocations,
             "quarantined": sum(
-                1 for since in self._quarantined_since.values() if since is not None
+                1
+                for control in self._controls.values()
+                if control.quarantined_since is not None
             ),
             "drift_flags": len(self.ledger.drift_flags),
         }

@@ -156,10 +156,10 @@ class TestClusterPowerManager:
             telemetry_filter.ingest = ingest
         reused = held = 0
         for round_index in range(30):
-            held_before = list(manager._held)
+            held_before = [control.held for control in manager._controls]
             manager.run(1, resume=round_index > 0)
             for i, node in enumerate(fleet.nodes):
-                pending = manager._pending[i]
+                pending = manager._controls[i].pending
                 if pending is None:
                     continue
                 clean = verdicts[i].sample

@@ -550,7 +550,7 @@ class TestNodeAxisWalk:
             ledger=PredictionLedger(),
         )
         shadows = {
-            id(c): PPEPPowerCapper(c.ppep, c._schedule, c.margin, c.bias_gain)
+            id(c): PPEPPowerCapper(c.ppep, c._schedule)
             for c in manager._cappers
         }
         calls = []
@@ -614,9 +614,12 @@ class TestNodeAxisWalk:
         with pytest.raises(ValueError) as walked:
             decide_nodes(walk, samples, BatchObservation.from_samples(spec, samples))
         assert [c.state_dict() for c in walk] == before
+        scalar_before = oracle[2].state_dict()
         with pytest.raises(ValueError) as scalar:
             oracle[2].decide(samples[2])
         assert str(walked.value) == str(scalar.value)
+        # The single-node walk keeps the same guarantee.
+        assert oracle[2].state_dict() == scalar_before
 
 
 class TestClusterManagerBatched:

@@ -175,10 +175,13 @@ class TestCheckpointPlumbing:
         assert read_checkpoint(path) is None
 
     def test_future_version_reads_as_none(self, tmp_path):
+        # Any other version cold-starts: a newer writer's, and one from
+        # before the last layout bump, which load_state_dict would reject.
         path = str(tmp_path / "future.json")
-        with open(path, "w") as handle:
-            json.dump({"checkpoint_version": CHECKPOINT_VERSION + 1}, handle)
-        assert read_checkpoint(path) is None
+        for version in (CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1):
+            with open(path, "w") as handle:
+                json.dump({"checkpoint_version": version}, handle)
+            assert read_checkpoint(path) is None, version
 
     def test_replace_is_atomic_no_tmp_left_behind(self, tmp_path):
         path = str(tmp_path / "state.json")

@@ -53,6 +53,89 @@ def _wire_events(node, sku, n, seed=51):
     return events
 
 
+def _shard_ledger_replay(tiny_registry, closed_loop, budget_w=180.0, intervals=40):
+    """Drive a 3-node FX-8320 shard with injected faults for
+    ``intervals`` rounds; return the ledger rows it must have recorded,
+    worked out with independent filters and ``predict_mixed``, and the
+    rows it did record, both keyed by (node, interval).
+
+    With ``closed_loop`` each node runs the decision the shard returns,
+    as a fleet node does; otherwise it stays where it started.
+    """
+    from repro.faults.filtering import TelemetryFilter
+    from repro.fleet.simulator import make_fleet
+    from tests.test_fleet_batch import FAULTS
+
+    fleet = make_fleet([FX8320_SPEC] * 3, tiny_registry, fault_specs=FAULTS)
+    ppep = fleet.nodes[0].ppep
+    table = FX8320_SPEC.vf_table
+    names = [node.name for node in fleet.nodes]
+    pipeline = ShardPipeline(
+        sku="fx8320", spec=FX8320_SPEC, ppep=ppep, node_names=names,
+        budget_w=budget_w, ledger_kwargs=dict(keep_records=True),
+    )
+    filters = {name: TelemetryFilter(ppep.spec) for name in names}
+    held = dict.fromkeys(names)
+    queued = {}  # node -> (applied VF indices, price, how it was priced)
+    expected = {}  # (node, interval) -> (vf index, price, measured, quality, how)
+    for k in range(intervals):
+        for node, sample in zip(fleet.nodes, fleet.step()):
+            name = node.name
+            verdict = filters[name].ingest(sample)
+            result = pipeline.process(name, sample)
+            assert (result["interval"], result["quality"]) == (k, verdict.quality)
+            clean = verdict.sample
+            states = ppep.core_states(clean)
+
+            def price(assignment):
+                power, _rate = ppep.predict_mixed(
+                    states, clean.temperature, assignment, clean.power_gating
+                )
+                return float(power)
+
+            previous = queued.pop(name, None)
+            if verdict.actionable:
+                ran = [vf.index for vf in clean.cu_vfs]
+                # A price queued with nothing held names CU 0's state only.
+                if previous is not None and (
+                    ran == previous[0]
+                    or (held[name] is None and ran[0] == previous[0][0])
+                ):
+                    row = (previous[0][0], previous[1], previous[2])
+                elif previous is None:
+                    row = (ran[0], price(clean.cu_vfs), "first")
+                else:
+                    how = "ran another"
+                    if ran[0] == previous[0][0]:
+                        how = "ran another, same CU 0"
+                    row = (ran[0], price(clean.cu_vfs), how)
+                expected[(name, k)] = (
+                    row[0], row[1], clean.measured_power, verdict.quality, row[2]
+                )
+            applied = [table.by_index(i) for i in result["decision"]]
+            if closed_loop:
+                for cu, vf in enumerate(applied):
+                    node.platform.set_cu_vf(cu, vf)
+            if not result["healthy"]:
+                held[name] = None
+                continue
+            how = "reused"
+            if verdict.actionable:
+                held[name] = result["decision"]
+            elif held[name] is not None:
+                assert result["decision"] == held[name]
+                how = "held"
+            queued[name] = (result["decision"], price(applied), how)
+    rows = {
+        (row.node, row.interval): (
+            row.vf_index, row.predicted_power, row.measured_power, row.quality
+        )
+        for row in pipeline.ledger.records
+    }
+    assert len(rows) == len(pipeline.ledger.records)
+    return expected, rows
+
+
 class TestShardPipelineBehavior:
     def test_quarantine_enter_and_exit(self, tiny_registry):
         from repro.obs.events import EventLog
@@ -82,6 +165,104 @@ class TestShardPipelineBehavior:
         for s in samples[3:6]:
             pipeline.process("solo", s)
         assert len(events.of_type("quarantine_exit")) == 1
+
+    def test_ledger_prices_equal_predict_mixed_of_applied_decision(
+        self, tiny_registry
+    ):
+        """With senders that apply its decisions, the shard's ledger
+        scores what the fleet manager's does: each row is
+        ``predict_mixed`` of the decision applied at interval k - 1, on
+        that interval's cleaned sample, against the power the node
+        delivers at k -- the capper's own price reused, or a held
+        decision priced again."""
+        expected, rows = _shard_ledger_replay(tiny_registry, closed_loop=True)
+        assert rows == {key: value[:4] for key, value in expected.items()}
+        hows = [value[4] for value in expected.values()]
+        assert hows.count("reused") > 0 and hows.count("held") > 0
+        # An in-interval fit only where nothing was queued: a node's
+        # first interval, or its first after quarantine.
+        assert set(hows) == {"reused", "held", "first"}
+
+    def test_open_loop_rows_price_the_assignment_the_node_ran(
+        self, tiny_registry
+    ):
+        """Senders that ignore the decisions (the serve streams) are
+        never scored against a price for another VF assignment: a row
+        is the in-interval fit of the assignment the node ran, unless
+        that happens to be the decision it was sent."""
+        expected, rows = _shard_ledger_replay(
+            tiny_registry, closed_loop=False, budget_w=330.0
+        )
+        assert rows == {key: value[:4] for key, value in expected.items()}
+        hows = [value[4] for value in expected.values()]
+        assert hows.count("ran another") > 0
+        # Decisions that share only CU 0's state with what ran, too.
+        assert hows.count("ran another, same CU 0") > 0
+        assert hows.count("reused") > 0
+        fastest = FX8320_SPEC.vf_table.fastest.index
+        assert {value[0] for value in expected.values()} == {fastest}
+
+    def test_ledger_scores_the_repaired_power(self, tiny_registry):
+        """A spiked reading the filter rejects never reaches the ledger:
+        the row measures the filter's repaired interval power."""
+        import dataclasses
+
+        from repro.faults.filtering import REPAIRED, TelemetryFilter
+        from repro.serve.protocol import sample_from_wire
+
+        ppep = tiny_registry.get(FX8320_SPEC)
+        pipeline = ShardPipeline(
+            sku="fx8320", spec=FX8320_SPEC, ppep=ppep, node_names=["solo"],
+            ledger_kwargs=dict(keep_records=True),
+        )
+        shadow = TelemetryFilter(ppep.spec)
+        wire = _wire_events("solo", "fx8320", 6)
+        samples = [sample_from_wire(e["sample"], FX8320_SPEC) for e in wire]
+        readings = list(samples[5].power_samples)
+        readings[0] *= 5.0
+        samples[5] = dataclasses.replace(
+            samples[5],
+            power_samples=readings,
+            measured_power=sum(readings) / len(readings),
+        )
+        for sample in samples:
+            verdict = shadow.ingest(sample)
+            pipeline.process("solo", sample)
+        assert verdict.quality == REPAIRED and "spike" in verdict.issues
+        row = pipeline.ledger.records[-1]
+        assert row.interval == 5 and row.quality == REPAIRED
+        assert row.measured_power == verdict.sample.measured_power
+        assert row.measured_power < samples[5].measured_power
+
+    def test_rejected_sample_moves_only_its_filter(self, tiny_registry):
+        """A line the model rejects (a non-positive diode temperature
+        passes the wire schema and the filter) raises before the capper,
+        the counters, the node's control state or the ledger move."""
+        import dataclasses
+
+        from repro.serve.protocol import sample_from_wire
+
+        pipeline = ShardPipeline(
+            sku="fx8320", spec=FX8320_SPEC,
+            ppep=tiny_registry.get(FX8320_SPEC),
+            node_names=["solo"], ledger_kwargs=dict(keep_records=True),
+        )
+        wire = _wire_events("solo", "fx8320", 5)
+        samples = [sample_from_wire(e["sample"], FX8320_SPEC) for e in wire]
+        for sample in samples[:4]:
+            pipeline.process("solo", sample)
+        before = pipeline.state_dict()
+        poison = dataclasses.replace(
+            samples[4], temperature=0.0, power_gating=False
+        )
+        with pytest.raises(ValueError, match="temperature"):
+            pipeline.process("solo", poison)
+        after = pipeline.state_dict()
+        assert after["filters"] != before["filters"]
+        after.pop("filters"), before.pop("filters")
+        assert after == before
+        # The shard keeps serving the stream.
+        assert pipeline.process("solo", samples[4])["interval"] == 4
 
     def test_unknown_node_rejected(self, tiny_registry):
         pipeline = ShardPipeline(

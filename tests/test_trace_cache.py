@@ -1,9 +1,8 @@
-"""Disk-backed trace cache and parallel collection.
+"""Disk-backed trace cache.
 
-Covers the three perf-infrastructure pieces: key fingerprinting (stable
-and collision-free), the disk-backed :class:`TraceLibrary` (round-trip
-fidelity, warm restarts simulating nothing), and
-:meth:`PPEPTrainer.collect_many` (worker-count-independent results).
+Covers the two perf-infrastructure pieces: key fingerprinting (stable
+and collision-free) and the disk-backed :class:`TraceLibrary`
+(round-trip fidelity, warm restarts simulating nothing).
 """
 
 import pytest
@@ -165,10 +164,12 @@ class TestDiskLibrary:
 class TestWarmContext:
     def test_second_context_simulates_nothing(self, tmp_path, monkeypatch):
         """The acceptance gate: a warm disk cache means a fresh context
-        performs zero new simulations during warm-up."""
+        trains its full model with zero new simulations."""
         cold = ExperimentContext(scale="quick", cache_dir=str(tmp_path))
-        cold_stats = cold.warm_up(max_workers=1)
-        assert cold_stats["misses"] > 0
+        # Training touches the VF5 bench, cooling, alpha and PG-sweep
+        # traces.
+        cold.full_ppep
+        assert cold.library.misses > 0
 
         calls = []
         original = Platform.step
@@ -176,49 +177,13 @@ class TestWarmContext:
             Platform, "step", lambda self: calls.append(1) or original(self)
         )
         warm = ExperimentContext(scale="quick", cache_dir=str(tmp_path))
-        warm_stats = warm.warm_up(max_workers=1)
+        warm.full_ppep
         assert calls == []
-        assert warm_stats["misses"] == 0
-        assert warm_stats["disk_hits"] == cold_stats["misses"]
+        assert warm.library.misses == 0
+        assert warm.library.disk_hits == cold.library.misses
 
     def test_env_var_selects_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         ctx = ExperimentContext(scale="quick")
         assert ctx.library.cache_dir == str(tmp_path)
 
-
-class TestCollectMany:
-    def _requests(self, n=3):
-        vf5 = FX8320_SPEC.vf_table.fastest
-        return [(combo, vf5) for combo in spec_combinations()[:n]]
-
-    def test_parallel_matches_sequential(self):
-        trainer = _quick_trainer()
-        sequential = trainer.collect_many(
-            self._requests(), TraceLibrary(), max_workers=1
-        )
-        parallel = trainer.collect_many(
-            self._requests(), TraceLibrary(), max_workers=2
-        )
-        for a, b in zip(sequential, parallel):
-            assert [s.measured_power for s in a.samples] == [
-                s.measured_power for s in b.samples
-            ]
-            assert [s.true_power for s in a.samples] == [
-                s.true_power for s in b.samples
-            ]
-
-    def test_fills_library_and_skips_cached(self):
-        trainer = _quick_trainer()
-        lib = TraceLibrary()
-        trainer.collect_many(self._requests(), lib, max_workers=1)
-        first_misses = lib.misses
-        assert first_misses == 3
-        trainer.collect_many(self._requests(), lib, max_workers=2)
-        assert lib.misses == first_misses  # everything served from cache
-
-    def test_preserves_request_order(self):
-        trainer = _quick_trainer()
-        requests = self._requests(4)
-        traces = trainer.collect_many(requests, TraceLibrary(), max_workers=2)
-        assert [t.label for t in traces] == [c.name for c, _vf in requests]
