@@ -159,48 +159,6 @@ class BatchObservation:
             busy_cus=busy_cus,
         )
 
-    @classmethod
-    def from_states(
-        cls,
-        spec: ChipSpec,
-        states: "Sequence[CoreEventState]",
-        temperature: float,
-        power_gating: bool,
-    ) -> "BatchObservation":
-        """One node's observation from its per-core states, value for value.
-
-        Every array holds the float the state carries (``cpi_sample``,
-        ``duty``, ``per_inst``, ``obs2_gap``), so column ops over it see
-        exactly the scalar pipeline's inputs.
-        """
-        columns = np.array(
-            [
-                (
-                    s.cpi_sample.cpi,
-                    s.cpi_sample.mcpi,
-                    s.cpi_sample.frequency_ghz,
-                    s.duty,
-                    s.obs2_gap,
-                )
-                for s in states
-            ]
-        ).T[:, None, :]
-        active = np.array([[s.active for s in states]])
-        busy = {spec.cu_of_core(c) for c, s in enumerate(states) if s.active}
-        return cls(
-            spec=spec,
-            per_inst8=np.array([[s.per_inst.as_list()[:8] for s in states]]),
-            cpi=columns[0],
-            mcpi=columns[1],
-            duty=columns[3],
-            obs2_gap=columns[4],
-            freq=columns[2],
-            active=active,
-            temperature=np.array([temperature]),
-            power_gating=np.array([power_gating], dtype=bool),
-            busy_cus=np.array([len(busy)]),
-        )
-
 
 @dataclass(frozen=True)
 class BatchPrediction:

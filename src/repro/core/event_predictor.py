@@ -41,10 +41,6 @@ class PredictedEvents:
     #: Predicted retired instructions per second.
     instructions_per_second: float
 
-    @property
-    def speedup_vs(self) -> float:  # pragma: no cover - convenience alias
-        return self.instructions_per_second
-
 
 class CoreEventState:
     """One core's observed interval, normalised for prediction."""

@@ -24,7 +24,7 @@ from typing import Callable, List, Sequence, Union
 import numpy as np
 
 from repro.core.batch import BatchObservation
-from repro.core.ppep import PPEP
+from repro.core.ppep import MixedPricer, PPEP
 from repro.dvfs.governor import ControlledRun, DVFSController
 from repro.hardware.platform import IntervalSample
 from repro.hardware.vfstates import VFState, VFTable
@@ -100,9 +100,9 @@ class PPEPPowerCapper(DVFSController):
     predicted performance loss.  The greedy walk takes at most
     ``num_cus * (num_states - 1)`` steps and prices up to ``num_cus``
     candidates per step (~66 per decision under a binding cap), each a
-    sum over :class:`~repro.core.ppep.MixedPricer`'s per-(core, VF)
+    sum over one row of a :class:`~repro.core.ppep.MixedPricer` price
     table.  :func:`decide_nodes` runs the same walk for a whole group
-    of nodes at once.
+    of nodes at once, over the group's table.
     """
 
     #: Fraction of the budget the walk aims for.
@@ -123,13 +123,13 @@ class PPEPPowerCapper(DVFSController):
         self._step = 0
         self._bias = 1.0
         self._last_predicted = None
-        self._pricer = None
+        self._priced = None
 
     def reset(self) -> None:
         self._step = 0
         self._bias = 1.0
         self._last_predicted = None
-        self._pricer = None
+        self._priced = None
 
     def state_dict(self) -> dict:
         """The controller's closed-loop state: schedule step, EWMA bias,
@@ -151,24 +151,22 @@ class PPEPPowerCapper(DVFSController):
             else float(state["last_predicted"])
         )
 
-    def current_cap(self) -> float:
-        return self._schedule(self._step)
-
     @property
     def last_predicted(self):
-        """Predicted chip power of the assignment :meth:`decide` last
-        returned (``predict_mixed``'s value, to the bit), or ``None``
-        before the first decision."""
+        """Predicted chip power of the assignment the last decision
+        (:meth:`decide` or :func:`decide_nodes`) returned
+        (``predict_mixed``'s value, to the bit), or ``None`` before the
+        first decision."""
         return self._last_predicted
 
     def price(self, assignment: Sequence[VFState]) -> float:
-        """Predicted chip power of ``assignment`` on the sample
-        :meth:`decide` last saw, from the pricer its walk filled (no
-        second pass over the core states).  Cappers that only
-        :func:`decide_nodes` drives have none."""
-        if self._pricer is None:
-            raise RuntimeError("price() needs a decide() first")
-        return self._pricer.price(assignment)[0]
+        """Predicted chip power of ``assignment`` on the sample the last
+        decision (:meth:`decide` or :func:`decide_nodes`) was made from,
+        read from that decision's price table (``(table, row)``)."""
+        if self._priced is None:
+            raise RuntimeError("price() needs a decision first")
+        table, row = self._priced
+        return table.price(row, assignment)[0]
 
     def _advance(self, measured_power: float) -> float:
         """Open one decision: the bias corrector's update, then this
@@ -183,20 +181,15 @@ class PPEPPowerCapper(DVFSController):
     def decide(self, sample: IntervalSample) -> Sequence[VFState]:
         spec = self.ppep.spec
         table = spec.vf_table
-        states = self.ppep.core_states(sample)
-        # The greedy walk below prices dozens of assignments from the
-        # same observation; the pricer caches the per-(core, VF) terms
-        # so each candidate is a cheap sum (bit-identical to
-        # predict_mixed, which dominates the fleet hot loop otherwise).
-        pricer = self.ppep.mixed_pricer(
-            states, sample.temperature, sample.power_gating
-        )
+        # A one-row price table: the greedy walk below prices dozens of
+        # assignments from it, each a cheap sum on Python floats.  A
+        # sample the model rejects raises here, before the capper's
+        # state moves.
+        pricer = MixedPricer(self.ppep, BatchObservation.from_samples(spec, [sample]))
         price = pricer.price
 
         assignment: List[VFState] = [table.fastest] * spec.num_cus
-        # The fastest price reaches the idle model first: a sample the
-        # model rejects raises here, before the capper's state moves.
-        power, perf = price(assignment)
+        power, perf = price(0, assignment)
         cap = self._advance(sample.measured_power)
         while power > cap:
             best_cu = None
@@ -209,7 +202,7 @@ class PPEPPowerCapper(DVFSController):
                     continue
                 trial = list(assignment)
                 trial[cu] = lower
-                trial_power, trial_perf = price(trial)
+                trial_power, trial_perf = price(0, trial)
                 saved = power - trial_power
                 lost = max(perf - trial_perf, 1.0)
                 score = saved / lost
@@ -236,7 +229,7 @@ class PPEPPowerCapper(DVFSController):
                     continue
                 trial = list(assignment)
                 trial[cu] = higher
-                trial_power, trial_perf = price(trial)
+                trial_power, trial_perf = price(0, trial)
                 if trial_power <= cap:
                     gain = trial_perf - perf
                     if best_gain is None or gain > best_gain:
@@ -246,7 +239,7 @@ class PPEPPowerCapper(DVFSController):
                 assignment, power, perf = best_state
                 improved = True
         self._last_predicted = power
-        self._pricer = pricer
+        self._priced = (pricer, 0)
         return assignment
 
 
@@ -266,17 +259,18 @@ def decide_nodes(
     step, bias and ``last_predicted`` equal the per-node
     :meth:`PPEPPowerCapper.decide` calls bit for bit:
 
-    - each price sums the (core, VF) terms of :meth:`PPEP.core_terms`
-      in ``predict_mixed``'s order (from 0.0, ``+= core`` then
-      ``+= nb`` per core, then idle; instructions/s per core) as a
-      running sum, which adds strictly left to right;
-    - idle power follows ``PPEP._idle_power_mixed`` case by case, on
-      the same floats (Horner columns for the Eq. 2 polynomials);
+    - both walks read one :class:`~repro.core.ppep.MixedPricer` table,
+      here the whole group's, built from ``batch``;
+    - each price sums the table's (core, VF) terms in ``predict_mixed``'s
+      order (from 0.0, ``+= core`` then ``+= nb`` per core, then idle;
+      instructions/s per core) as a running sum, which adds strictly
+      left to right, and takes idle power from :meth:`MixedPricer.idle`;
     - the first CU with a strictly greater score (or gain) wins, and
       ``max``/comparison semantics include NaN.
 
-    A temperature the idle model rejects raises before any capper's
-    state changes.
+    A sample the model rejects raises before any capper's state
+    changes.  Each capper keeps (table, its row), so
+    :meth:`PPEPPowerCapper.price` reads the table afterwards.
     """
     ppep = cappers[0].ppep
     if any(capper.ppep is not ppep for capper in cappers):
@@ -289,74 +283,13 @@ def decide_nodes(
     top = len(states) - 1
     num_cus = spec.num_cus
     num_cores = spec.num_cores
-    temperature = batch.temperature
-    pg_model = ppep.pg_model
-    eq2_nodes = np.ones(n, dtype=bool) if pg_model is None else ~batch.power_gating
-    cold = eq2_nodes & (temperature <= 0)
-    if cold.any():
-        # The fastest uniform price reaches Eq. 2 first; let it raise.
-        ppep.idle_model.predict(
-            states[-1].voltage, float(temperature[np.argmax(cold)])
-        )
-    core, nb, rate = ppep.core_terms(batch)
-
-    # Idle power per (node, uniform VF): PPEP._idle_power.
-    volts = np.array([vf.voltage for vf in states])
-    w_idle1 = ppep.idle_model.w_idle1
-    w_idle0 = ppep.idle_model.w_idle0
-    uniform_idle = (
-        np.array([w_idle1(v) for v in volts]) * temperature[:, None]
-        + np.array([w_idle0(v) for v in volts])
-    )
-    if pg_model is not None:
-        decomps = [pg_model.decomposition(vf) for vf in states]
-        p_cu = np.array([d.p_cu for d in decomps])
-        p_nb = np.array([d.p_nb for d in decomps])
-        p_base = np.array([d.p_base for d in decomps])
-        busy = batch.busy_cus[:, None]
-        gated = np.where(busy == 0, p_base, busy * p_cu + p_nb + p_base)
-        uniform_idle = np.where(batch.power_gating[:, None], gated, uniform_idle)
-        ungated = ~batch.power_gating
-        wake_nb = (batch.busy_cus > 0) | ungated
-        wake_cu = (
-            batch.active.reshape(n, num_cus, spec.cores_per_cu).any(axis=2)
-            | ungated[:, None]
-        )
-
-    def horner(poly, x):
-        y = np.zeros_like(x)
-        for c in poly.coefficients:
-            y = y * x + c
-        return y
-
-    def mixed_idle(rows, trial):
-        """PPEP._idle_power_mixed for assignments that are not uniform."""
-        if pg_model is None:
-            # sum() starts from 0, then adds voltages left to right.
-            mean = volts[trial[:, 0]]
-            for u in range(1, num_cus):
-                mean = mean + volts[trial[:, u]]
-            mean = mean / num_cus
-            return horner(w_idle1, mean) * temperature[rows] + horner(w_idle0, mean)
-        total = 0.0 + p_base[trial[:, 0]]
-        total = np.where(wake_nb[rows], total + p_nb[trial[:, 0]], total)
-        for u in range(num_cus):
-            total = np.where(wake_cu[rows, u], total + p_cu[trial[:, u]], total)
-        return total
-
-    def idle_of(rows, trial):
-        first = trial[:, 0]
-        idle = uniform_idle[rows, first]
-        mixed = (trial != first[:, None]).any(axis=1)
-        if mixed.any():
-            idle[mixed] = mixed_idle(rows[mixed], trial[mixed])
-        return idle
+    pricer = MixedPricer(ppep, batch)
 
     # A cell is (node, core, VF column); pairs[cell] is its (core, NB)
     # terms, so pairs[cells] of one assignment lists the dynamic-power
     # terms in predict_mixed's addition order.
-    pairs = np.stack([core, nb], axis=-1).reshape(-1, 2)
-    rates = rate.reshape(-1)
+    pairs = np.stack([pricer.core, pricer.nb], axis=-1).reshape(-1, 2)
+    rates = pricer.rate.reshape(-1)
     cell_base = (np.arange(n)[:, None] * num_cores + np.arange(num_cores)) * len(
         states
     )
@@ -389,9 +322,9 @@ def decide_nodes(
         # Candidate k takes CU k's cores from the moved cells.
         trial_power = running_sum(
             np.where(own_terms[:, None, :], move_dyn[..., None], stay_dyn[..., None])
-        ) + idle_of(np.repeat(active, num_cus), trials.reshape(-1, num_cus)).reshape(
-            -1, num_cus
-        )
+        ) + pricer.idle(
+            np.repeat(active, num_cus), trials.reshape(-1, num_cus)
+        ).reshape(-1, num_cus)
         trial_perf = running_sum(
             np.where(own[:, None, :], move_rate[..., None], stay_rate[..., None])
         )
@@ -414,7 +347,7 @@ def decide_nodes(
     assign = np.full((n, num_cus), top)
     with np.errstate(all="ignore"):
         dyn, rate_terms = terms(cell_base + top)
-        power = running_sum(dyn) + uniform_idle[:, top]
+        power = running_sum(dyn) + pricer.uniform_idle[:, top]
         perf = running_sum(rate_terms)
         active = np.flatnonzero(power > caps)
         while active.size:
@@ -434,8 +367,9 @@ def decide_nodes(
             fits = movable & (trial_power <= caps[active, None])
             best = _first_best(trial_perf - perf[active, None], fits)
             active = take(active, trials, best, trial_power, trial_perf)
-    for capper, predicted in zip(cappers, power.tolist()):
+    for row, (capper, predicted) in enumerate(zip(cappers, power.tolist())):
         capper._last_predicted = predicted
+        capper._priced = (pricer, row)
     return [[states[t] for t in row] for row in assign.tolist()]
 
 
@@ -462,19 +396,16 @@ class UniformPowerCapper(DVFSController):
     what per-CU planes buy: finer power granularity under the cap.
     """
 
+    #: Fraction of the budget the choice aims for.
+    margin = 0.97
+
     def __init__(
-        self,
-        ppep: PPEP,
-        cap_schedule: Union[CapSchedule, float],
-        margin: float = 0.97,
+        self, ppep: PPEP, cap_schedule: Union[CapSchedule, float]
     ) -> None:
         self.ppep = ppep
         self._schedule = (
             cap_schedule if callable(cap_schedule) else (lambda _s: float(cap_schedule))
         )
-        if not 0.0 < margin <= 1.0:
-            raise ValueError("margin must lie in (0, 1]")
-        self.margin = margin
         self._step = 0
 
     def reset(self) -> None:
@@ -502,19 +433,20 @@ class IterativePowerCapper(DVFSController):
     as commonly practiced in commercial CPUs.
     """
 
+    #: Fraction of the cap below which the slowest CU is raised.
+    raise_threshold = 0.92
+
     def __init__(
         self,
         vf_table: VFTable,
         num_cus: int,
         cap_schedule: Union[CapSchedule, float],
-        raise_threshold: float = 0.92,
     ) -> None:
         self.table = vf_table
         self.num_cus = num_cus
         self._schedule = (
             cap_schedule if callable(cap_schedule) else (lambda _s: float(cap_schedule))
         )
-        self.raise_threshold = raise_threshold
         self._step = 0
         self._assignment: List[VFState] = [vf_table.fastest] * num_cus
 

@@ -86,12 +86,13 @@ class ShardPipeline:
     Nodes deliver intervals asynchronously, so the shard batches across
     nodes only at the allocation round; within an interval each node's
     :class:`~repro.dvfs.power_capping.PPEPPowerCapper` prices its
-    candidates through the cached
-    :class:`~repro.core.ppep.MixedPricer`.  The ledger scores the
-    filter's cleaned power against the capper's one-step-ahead price of
-    the decision, as the fleet manager's does, when the node ran it;
-    a sender that does not apply decisions is scored on that pricer's
-    in-interval fit of what it ran.
+    candidates from a one-row :class:`~repro.core.ppep.MixedPricer`
+    table of the cleaned sample, the table the fleet's column walk
+    reads for a whole model group.  The ledger scores the filter's
+    cleaned power against the capper's one-step-ahead price of the
+    decision, as the fleet manager's does, when the node ran it; a
+    sender that does not apply decisions is scored on that table's
+    in-interval fit of what it ran (``PPEPPowerCapper.price``).
     """
 
     def __init__(
@@ -133,7 +134,7 @@ class ShardPipeline:
             self._budgets[name] = budget
             self._cappers[name] = PPEPPowerCapper(ppep, budget)
             self._filters[name] = TelemetryFilter(ppep.spec, filter_config)
-            self._controls[name] = NodeControl(name, ppep, self.unhealthy_after)
+            self._controls[name] = NodeControl(name, ppep.spec, self.unhealthy_after)
         #: Cleaned samples of the in-flight allocation round.
         self._round: Dict[str, IntervalSample] = {}
         self._last_alloc = None
@@ -170,7 +171,7 @@ class ShardPipeline:
         healthy = control.advance(verdict)
         control.transition(self.events, interval)
         previous = control.held
-        applied = control.settle(chosen, capper, verdict.sample, verdict)
+        applied = control.settle(chosen, capper, verdict)
         decision = [vf.index for vf in applied]
         if self.events is not None and healthy and verdict.actionable and previous:
             held = [vf.index for vf in previous]
