@@ -183,6 +183,52 @@ class TestClusterPowerManager:
                     held += 1
         assert reused > 0 and held > 0
 
+    def test_ledger_scores_the_repaired_power(self, tiny_registry):
+        """A spiked reading the filter rejects never reaches the fleet
+        ledger: the row measures the filter's repaired interval power,
+        as the serve shard's does."""
+        import dataclasses
+
+        from repro.faults.filtering import REPAIRED
+        from repro.obs.ledger import PredictionLedger
+
+        fleet = make_fleet([FX8320_SPEC], tiny_registry)
+        manager = ClusterPowerManager(
+            fleet, 52.0, harden=True, ledger=PredictionLedger(keep_records=True)
+        )
+        verdicts = []
+        ingest = manager._filters[0].ingest
+
+        def recorded(sample):
+            verdicts.append(ingest(sample))
+            return verdicts[-1]
+
+        manager._filters[0].ingest = recorded
+        stepped = fleet.step
+        raw = []
+
+        def spiked():
+            samples = stepped()
+            if len(verdicts) == 5:
+                readings = list(samples[0].power_samples)
+                readings[0] *= 5.0
+                samples[0] = dataclasses.replace(
+                    samples[0],
+                    power_samples=readings,
+                    measured_power=sum(readings) / len(readings),
+                )
+            raw.append(samples[0])
+            return samples
+
+        fleet.step = spiked
+        manager.run(6)
+        verdict = verdicts[-1]
+        assert verdict.quality == REPAIRED and "spike" in verdict.issues
+        row = manager.ledger.records[-1]
+        assert row.interval == 5 and row.quality == REPAIRED
+        assert row.measured_power == verdict.sample.measured_power
+        assert row.measured_power < raw[-1].measured_power
+
     def test_record_shapes(self, tiny_registry):
         fleet = make_fleet([FX8320_SPEC] * 2, tiny_registry)
         run = ClusterPowerManager(fleet, 150.0).run(4)
