@@ -1,19 +1,16 @@
 #!/usr/bin/env python
 """Fleet-kernel scale benchmark: nodes*intervals per second.
 
-Runs the full hardened cluster loop (batched fleet stepping, per-node
-telemetry filtering, batched all-VF pricing, the capper's column walk
-per model group) at several roster sizes and reports the scale curve
-plus the batched fraction: the share of node-intervals the
-:class:`~repro.fleet.engine.FleetEngine` advanced in its struct-of-arrays
-pass rather than through the per-node ``Platform.step()`` fallback.
+Runs the full hardened cluster loop (per-node ``Platform.step()``,
+per-node telemetry filtering, batched all-VF pricing, the capper's
+column walk per model group) at several roster sizes and reports the
+scale curve.
 
-Gates (CI runs the small-roster smoke)::
+Gate (CI runs the small-roster smoke)::
 
     python benchmarks/bench_fleet_scale.py --sizes 64 --intervals 8
 
-1. every round's budget shares sum to no more than the cluster cap;
-2. the batched fraction is above zero on every roster.
+every round's budget shares sum to no more than the cluster cap.
 
 Decision equivalence with the per-node oracles is pinned by the golden
 streams in ``tests/data/control_streams.golden.json``.
@@ -77,23 +74,15 @@ def _build_manager(registry, n_nodes, seed):
 
 
 def _timed_run(manager, intervals):
-    """(wall seconds, batched fraction, rounds whose shares exceed the cap).
-
-    The loop runs one round per call (``resume`` after the first, which
-    is the uninterrupted loop) so the engine's per-round batched count
-    can be read between rounds.
-    """
-    batched = 0
-    over_cap = 0
-    wall = 0.0
-    for k in range(intervals):
-        started = time.perf_counter()
-        run = manager.run(1, resume=k > 0)
-        wall += time.perf_counter() - started
-        batched += manager.fleet._engine.last_batched
-        if sum(run.shares[0]) > run.caps[0] * (1.0 + CAP_RTOL):
-            over_cap += 1
-    return wall, batched / (len(manager.fleet) * intervals), over_cap
+    """(wall seconds, rounds whose shares exceed the cap)."""
+    started = time.perf_counter()
+    run = manager.run(intervals)
+    wall = time.perf_counter() - started
+    over_cap = sum(
+        sum(shares) > cap * (1.0 + CAP_RTOL)
+        for shares, cap in zip(run.shares, run.caps)
+    )
+    return wall, over_cap
 
 
 def main(argv=None):
@@ -130,8 +119,8 @@ def main(argv=None):
     curve = []
     for size in args.sizes:
         mgr = _build_manager(registry, size, seed=args.seed)
-        wall, fraction, over_cap = _timed_run(mgr, args.intervals)
-        curve.append((size, size * args.intervals / wall, wall, fraction, over_cap))
+        wall, over_cap = _timed_run(mgr, args.intervals)
+        curve.append((size, size * args.intervals / wall, wall, over_cap))
     total_wall = time.perf_counter() - total_started
 
     lines = [
@@ -141,17 +130,14 @@ def main(argv=None):
         "stream".format(len(SKU_SPECS)),
         "scale curve:",
     ]
-    for size, rate, wall, fraction, over_cap in curve:
+    for size, rate, wall, over_cap in curve:
         lines.append(
             "  {:>6d} nodes x {} intervals: {:>8.0f} node-intervals/s "
-            "({:.1f}s), batched fraction {:.2f}, rounds over cap {}".format(
-                size, args.intervals, rate, wall, fraction, over_cap
+            "({:.1f}s), rounds over cap {}".format(
+                size, args.intervals, rate, wall, over_cap
             )
         )
-    lines.append(
-        "gate: every round's shares within the cap and batched fraction "
-        "> 0 on every roster"
-    )
+    lines.append("gate: every round's shares within the cap on every roster")
     report_text = "\n".join(lines)
     print(report_text)
 
@@ -167,22 +153,17 @@ def main(argv=None):
         "top_roster_nodes": top_size,
         "top_roster_node_intervals_per_s": round(top_rate, 1),
     }
-    for size, rate, _wall, fraction, _over_cap in curve:
+    for size, rate, _wall, _over_cap in curve:
         metrics["roster_{}_node_intervals_per_s".format(size)] = round(rate, 1)
-        metrics["roster_{}_batched_fraction".format(size)] = round(fraction, 4)
     record_bench("fleet_scale", total_wall, metrics)
 
-    failures = []
-    for size, _rate, _wall, fraction, over_cap in curve:
-        if over_cap:
-            failures.append(
-                "{}-node roster: shares exceeded the cap in {} of {} "
-                "rounds".format(size, over_cap, args.intervals)
-            )
-        if fraction <= 0:
-            failures.append(
-                "{}-node roster: the engine batched no node-interval".format(size)
-            )
+    failures = [
+        "{}-node roster: shares exceeded the cap in {} of {} rounds".format(
+            size, over_cap, args.intervals
+        )
+        for size, _rate, _wall, over_cap in curve
+        if over_cap
+    ]
     if failures:
         for failure in failures:
             print("FAIL: " + failure)

@@ -362,13 +362,12 @@ class HardenedPPEP:
     def __init__(
         self,
         ppep,
-        config: Optional[FilterConfig] = None,
         node: str = "node0",
         events=None,
         ledger=None,
     ) -> None:
         self.ppep = ppep
-        self.filter = TelemetryFilter(ppep.spec, config)
+        self.filter = TelemetryFilter(ppep.spec)
         self.node = node
         self.events = events
         self.ledger = ledger

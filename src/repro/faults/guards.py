@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.dvfs.governor import DVFSController
-from repro.faults.filtering import GOOD, FilterConfig, TelemetryFilter
+from repro.faults.filtering import GOOD, TelemetryFilter
 from repro.hardware.microarch import ChipSpec
 from repro.hardware.platform import IntervalSample
 from repro.hardware.vfstates import VFState
@@ -38,12 +38,11 @@ class GuardedController(DVFSController):
         self,
         inner: DVFSController,
         spec: ChipSpec,
-        config: Optional[FilterConfig] = None,
         node: str = "node0",
         events=None,
     ) -> None:
         self.inner = inner
-        self.filter = TelemetryFilter(spec, config)
+        self.filter = TelemetryFilter(spec)
         self._held: Optional[List[VFState]] = None
         #: Intervals on which the guardrail overrode the inner decision.
         self.holds = 0

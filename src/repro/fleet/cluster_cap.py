@@ -44,7 +44,7 @@ from repro.dvfs.power_capping import (
     decide_nodes,
     evaluate_power_series,
 )
-from repro.faults.filtering import GOOD, FilterConfig, TelemetryFilter
+from repro.faults.filtering import GOOD, TelemetryFilter
 from repro.fleet.simulator import FleetSimulator
 
 __all__ = [
@@ -386,9 +386,6 @@ class ClusterPowerManager:
         recovers is re-admitted automatically.
     unhealthy_after:
         Consecutive bad intervals before a node is declared unhealthy.
-    filter_config:
-        Optional :class:`~repro.faults.filtering.FilterConfig` for the
-        per-node filters.
     events / ledger:
         Optional observability sinks.  ``events`` (a
         :class:`repro.obs.events.EventLog`) receives ``filter_verdict``,
@@ -403,8 +400,8 @@ class ClusterPowerManager:
         the call :meth:`~repro.obs.ledger.PredictionLedger.from_events`
         replays.
 
-    Each interval steps the fleet in one
-    :class:`~repro.fleet.engine.FleetEngine` pass, filters node by
+    Each interval steps every node through its own
+    :meth:`~repro.hardware.platform.Platform.step`, filters node by
     node, prices every VF state of every node in one batched pass per
     model group, then runs the per-node cappers' greedy walks as one
     :func:`~repro.dvfs.power_capping.decide_nodes` column pass per
@@ -420,7 +417,6 @@ class ClusterPowerManager:
         policy: str = "proportional",
         harden: bool = False,
         unhealthy_after: int = 3,
-        filter_config: FilterConfig = None,
         events=None,
         ledger=None,
     ) -> None:
@@ -445,7 +441,7 @@ class ClusterPowerManager:
         self.harden = bool(harden)
         self.unhealthy_after = int(unhealthy_after)
         self._filters = (
-            [TelemetryFilter(node.spec, filter_config) for node in fleet.nodes]
+            [TelemetryFilter(node.spec) for node in fleet.nodes]
             if self.harden
             else None
         )

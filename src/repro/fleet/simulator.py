@@ -24,7 +24,6 @@ import numpy as np
 from repro.core.batch import BatchObservation
 from repro.core.ppep import PPEP, stable_seed
 from repro.faults.injection import FaultInjector, FaultSpec
-from repro.fleet.engine import FleetEngine
 from repro.fleet.registry import ModelRegistry
 from repro.hardware.microarch import ChipSpec
 from repro.hardware.platform import CoreAssignment, IntervalSample, Platform
@@ -124,7 +123,6 @@ class FleetSimulator:
         self._groups = [
             (self.nodes[idx[0]].ppep, idx) for idx in groups.values()
         ]
-        self._engine = FleetEngine(self.nodes)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -138,15 +136,13 @@ class FleetSimulator:
     def step(self) -> List[IntervalSample]:
         """Advance every node one synchronized 200 ms interval.
 
-        All whole-interval-steady same-SKU nodes advance through one
-        :class:`~repro.fleet.engine.FleetEngine` struct-of-arrays pass,
-        bit-identical to per-node ``platform.step()`` calls; the engine
-        steps every other node through its own platform.
+        Each node steps through its own :meth:`Platform.step`, the one
+        simulation kernel; samples come back in roster order.
         """
         registry = get_registry()
         if registry.enabled:
             registry.counter("obs.fleet.steps").inc()
-        return self._engine.step()
+        return [node.platform.step() for node in self.nodes]
 
     def run(self, n_intervals: int) -> List[List[IntervalSample]]:
         """Free-running fleet (no controller): samples per interval."""

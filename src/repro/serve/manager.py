@@ -69,7 +69,6 @@ class ShardSpec:
     budget_w: Optional[float] = None
     policy: str = "proportional"
     unhealthy_after: int = 3
-    filter_config: object = None
     ledger_kwargs: Optional[dict] = field(default=None)
 
 
@@ -194,7 +193,6 @@ class ShardManager:
                 "budget_w": shard.budget_w,
                 "policy": shard.policy,
                 "unhealthy_after": shard.unhealthy_after,
-                "filter_config": shard.filter_config,
                 "ledger_kwargs": shard.ledger_kwargs,
                 "epoch": 0,
                 "disk_chaos": disk_chaos,

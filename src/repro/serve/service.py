@@ -32,7 +32,7 @@ import logging
 import signal
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.ppep import stable_seed
@@ -82,7 +82,6 @@ class ServeConfig:
     #: 0 = let the OS pick (the bound port is reported in the stats).
     port: int = 0
     base_seed: int = 20141213
-    extra_args: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         unknown = [sku for sku in self.skus if sku not in SKU_SPECS]

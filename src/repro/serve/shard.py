@@ -31,7 +31,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper
-from repro.faults.filtering import FilterConfig, TelemetryFilter
+from repro.faults.filtering import TelemetryFilter
 from repro.fleet.cluster_cap import NodeControl, allocate_with_quarantine
 from repro.hardware.platform import IntervalSample
 from repro.obs.events import EventLog
@@ -80,8 +80,8 @@ class ShardPipeline:
         to the slowest VF decision and granted only its floor power
         (:func:`~repro.fleet.cluster_cap.allocate_with_quarantine`, the
         same split the fleet manager uses).
-    events / ledger_kwargs / filter_config:
-        Observability sink and pipeline tunables.
+    events / ledger_kwargs:
+        Observability sink and ledger tunables.
 
     Nodes deliver intervals asynchronously, so the shard batches across
     nodes only at the allocation round; within an interval each node's
@@ -104,7 +104,6 @@ class ShardPipeline:
         budget_w: Optional[float] = None,
         policy: str = "proportional",
         unhealthy_after: int = 3,
-        filter_config: Optional[FilterConfig] = None,
         events: Optional[EventLog] = None,
         ledger_kwargs: Optional[dict] = None,
     ) -> None:
@@ -133,7 +132,7 @@ class ShardPipeline:
             budget = ExternalBudget(self.budget_w / len(self.node_names))
             self._budgets[name] = budget
             self._cappers[name] = PPEPPowerCapper(ppep, budget)
-            self._filters[name] = TelemetryFilter(ppep.spec, filter_config)
+            self._filters[name] = TelemetryFilter(ppep.spec)
             self._controls[name] = NodeControl(name, ppep.spec, self.unhealthy_after)
         #: Cleaned samples of the in-flight allocation round.
         self._round: Dict[str, IntervalSample] = {}
@@ -420,7 +419,6 @@ def shard_worker_main(config: dict, in_queue, out_queue) -> None:
         budget_w=config.get("budget_w"),
         policy=config.get("policy", "proportional"),
         unhealthy_after=config.get("unhealthy_after", 3),
-        filter_config=config.get("filter_config"),
         events=events,
         ledger_kwargs=config.get("ledger_kwargs"),
     )

@@ -2,17 +2,16 @@
 
 The fleet kernel's contract is not "close".  Each batched layer is
 checked bit for bit against a per-node oracle that stays in the
-library: stepping (:class:`~repro.fleet.engine.FleetEngine`) against
-``Platform.step``, the mixed-VF price table both capper walks read
+library: the mixed-VF price table both capper walks read
 (:class:`~repro.core.ppep.MixedPricer`, one row at a time and as
 columns) and the term kernel (``PPEP.core_terms``) against
 ``PPEP.predict_mixed`` and ``EventPredictor.predict``, and the fleet's
 column walk (:func:`~repro.dvfs.power_capping.decide_nodes`) against
-per-node ``PPEPPowerCapper.decide``.  Telemetry filtering and ledger
-scoring have one implementation each
-(:class:`~repro.faults.filtering.TelemetryFilter`,
+per-node ``PPEPPowerCapper.decide``.  Stepping, telemetry filtering
+and ledger scoring have one implementation each
+(``Platform.step``, :class:`~repro.faults.filtering.TelemetryFilter`,
 :meth:`~repro.obs.ledger.PredictionLedger.record`), which the fleet
-manager runs per node.
+runs per node.
 
 The control plane's decision streams (fleet manager, serve shard,
 one-step capper) are pinned in
@@ -97,22 +96,6 @@ PRICER_CASES = [
     pytest.param(spec, power_gating, id=case)
     for case, (spec, power_gating) in CAPPER_CASES.items()
 ]
-
-
-def _sample_fields(sample):
-    return (
-        sample.index,
-        sample.time,
-        list(sample.power_samples),
-        sample.measured_power,
-        sample.temperature,
-        [vec.as_list() for vec in sample.core_events],
-        [vec.as_list() for vec in sample.true_core_events],
-        list(sample.instructions),
-        sample.true_power,
-        sample.nb_utilisation,
-        sample.interval_s,
-    )
 
 
 def _half_busy_node(registry, spec, power_gating):
@@ -352,22 +335,6 @@ class TestControlGoldens:
         assert "round {}".format(row["round"]) in message
         assert "node {}".format(row["node"]) in message
         assert "'shares'" in message
-
-
-class TestFleetEngineStepping:
-    def test_batched_step_bit_identical(self, tiny_registry):
-        batched = make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS)
-        scalar = make_fleet(MIXED_SPECS, tiny_registry, fault_specs=FAULTS)
-        stepped_batched = 0
-        for _ in range(30):
-            rows_a = batched.step()
-            stepped_batched += batched._engine.last_batched
-            rows_b = [node.platform.step() for node in scalar.nodes]
-            for a, b in zip(rows_a, rows_b):
-                assert _sample_fields(a) == _sample_fields(b)
-        # The kernel actually batched work (whole-interval-steady nodes
-        # exist in this workload mix); ineligible intervals fall back.
-        assert stepped_batched > 0
 
 
 class TestMixedPricer:
