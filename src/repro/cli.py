@@ -658,7 +658,7 @@ def _run_obs(args) -> int:
             os.unlink(path)
         ctx = common.get_context(scale=args.scale, base_seed=args.seed)
         started = time.perf_counter()
-        ledger, _events = obs_drift.record_demo(ctx, path=path)
+        ledger = obs_drift.record_demo(ctx, path=path)
         print(
             "recorded injected-drift demo: {} intervals, {} drift "
             "flag(s) -> {} ({:.1f}s)\n".format(
@@ -677,7 +677,13 @@ def _run_obs(args) -> int:
     if not os.path.exists(path):
         print("error: no ledger at {!r}".format(path), file=sys.stderr)
         return 2
-    print(format_report(replay_file(path, **ledger_kwargs)))
+    try:
+        report = replay_file(path, **ledger_kwargs)
+    except ValueError as exc:
+        # A corrupt line: read_events names it as path:line.
+        print("error: {}".format(exc), file=sys.stderr)
+        return 2
+    print(format_report(report))
     return 0
 
 

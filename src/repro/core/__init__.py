@@ -25,7 +25,7 @@ from repro.core.dynamic_power import DynamicPowerModel, fit_dynamic_power_model
 from repro.core.event_predictor import EventPredictor
 from repro.core.power_gating import IdlePowerDecomposition, PGAwareIdleModel
 from repro.core.energy import EnergyPredictor, VFPrediction
-from repro.core.ppep import PPEP, PPEPTrainer, TrainingData
+from repro.core.ppep import PPEP, PPEPTrainer
 from repro.core.crossval import kfold_split, cross_validate
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "VFPrediction",
     "PPEP",
     "PPEPTrainer",
-    "TrainingData",
     "kfold_split",
     "cross_validate",
 ]

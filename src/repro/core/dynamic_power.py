@@ -12,8 +12,9 @@ NB-proxy events (L2 misses, dispatch stalls) are not, because the NB
 voltage is held constant.
 
 ``alpha`` is a per-process-technology constant the paper derives from
-measured power at different voltages; :func:`estimate_alpha` reproduces
-that derivation from training runs at non-VF5 states.
+measured power at different voltages;
+:meth:`repro.core.ppep.PPEPTrainer.estimate_alpha_from_microbench`
+reproduces that derivation from bench_A runs at every VF state.
 
 We fit with non-negative least squares: the weights are effective
 energies per event, so negative values are unphysical and would
@@ -33,7 +34,6 @@ from repro.hardware.events import DYNAMIC_POWER_EVENTS, Event, EventVector
 __all__ = [
     "DynamicPowerModel",
     "fit_dynamic_power_model",
-    "estimate_alpha",
     "dynamic_feature_vector",
 ]
 
@@ -119,9 +119,9 @@ def fit_dynamic_power_model(
 
     ``feature_rows`` are per-interval nine-element rate vectors (already
     summed over cores); ``dynamic_powers`` the matching measured-minus-
-    idle power targets.  ``alpha`` may be refined afterwards with
-    :func:`estimate_alpha` (the weights do not depend on it at the
-    training voltage, where the scale factor is one).
+    idle power targets.  ``alpha`` may be set afterwards with
+    :meth:`DynamicPowerModel.with_alpha` (the weights do not depend on
+    it at the training voltage, where the scale factor is one).
     """
     matrix = np.vstack([np.asarray(r, dtype=float) for r in feature_rows])
     if matrix.shape[1] != _NUM_FEATURES:
@@ -138,37 +138,3 @@ def fit_dynamic_power_model(
         train_voltage=train_voltage,
     )
 
-
-def estimate_alpha(
-    model: DynamicPowerModel,
-    feature_rows: Sequence[np.ndarray],
-    dynamic_powers: Sequence[float],
-    voltages: Sequence[float],
-) -> float:
-    """Derive the voltage-scaling exponent from non-VF5 measurements.
-
-    For each sample at voltage ``V != V5`` the implied exponent is
-
-        alpha = log((P_dyn - NB_term) / core_term_at_V5) / log(V / V5)
-
-    and the estimate is the median over samples where the ratio is
-    well-defined (positive numerator, non-trivial core term).  The
-    median is robust to the near-idle intervals where the idle-model
-    error dominates.
-    """
-    if not (len(feature_rows) == len(dynamic_powers) == len(voltages)):
-        raise ValueError("feature rows, powers, and voltages must align")
-    implied = []
-    for features, power, voltage in zip(feature_rows, dynamic_powers, voltages):
-        ratio_v = voltage / model.train_voltage
-        if abs(np.log(ratio_v)) < 1e-6:
-            continue  # the training voltage itself carries no information
-        nb = model.nb_term(np.asarray(features, dtype=float))
-        core_at_v5 = model.core_term(np.asarray(features, dtype=float), model.train_voltage)
-        numerator = power - nb
-        if numerator <= 0 or core_at_v5 <= 1e-3:
-            continue
-        implied.append(float(np.log(numerator / core_at_v5) / np.log(ratio_v)))
-    if not implied:
-        raise ValueError("no usable samples to estimate alpha from")
-    return float(np.median(implied))

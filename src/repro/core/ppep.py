@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +36,6 @@ from repro.core.batch import BatchObservation
 from repro.core.dynamic_power import (
     DynamicPowerModel,
     dynamic_feature_vector,
-    estimate_alpha,
     fit_dynamic_power_model,
 )
 from repro.core.energy import VFPrediction
@@ -66,7 +65,6 @@ __all__ = [
     "PPEP",
     "PPEPSnapshot",
     "PPEPTrainer",
-    "TrainingData",
     "stable_seed",
 ]
 
@@ -538,18 +536,6 @@ class MixedPricer:
         return idle
 
 
-@dataclass
-class TrainingData:
-    """Everything the trainer gathered from the (simulated) machine."""
-
-    #: voltage -> (temperatures, powers) cool-down traces.
-    cooling: Dict[float, Tuple[List[float], List[float]]] = field(default_factory=dict)
-    #: (combination name, VF index) -> benchmark trace.
-    traces: Dict[Tuple[str, int], Trace] = field(default_factory=dict)
-    #: VF index -> (power with PG off, power with PG on) by busy CUs.
-    pg_sweeps: Dict[int, Tuple[List[float], List[float]]] = field(default_factory=dict)
-
-
 class PPEPTrainer:
     """Reproduces the paper's one-time offline training procedure."""
 
@@ -831,10 +817,9 @@ class PPEPTrainer:
         self,
         idle_model: IdlePowerModel,
         vf5_traces: Mapping[str, Trace],
-        alpha_traces: Mapping[Tuple[str, int], Trace],
     ) -> DynamicPowerModel:
-        """Fit Eq. 3 weights at VF5 and the alpha exponent from the
-        lower-VF traces."""
+        """Fit the Eq. 3 weights at VF5 (alpha stays at the model's
+        default; see :meth:`estimate_alpha_from_microbench`)."""
         v5 = self.spec.vf_table.fastest.voltage
         rows: List[np.ndarray] = []
         targets: List[float] = []
@@ -843,22 +828,7 @@ class PPEPTrainer:
             for f, p, t in zip(feats, powers, temps):
                 rows.append(f)
                 targets.append(p - idle_model.predict(v5, t))
-        model = fit_dynamic_power_model(rows, targets, train_voltage=v5)
-
-        a_rows: List[np.ndarray] = []
-        a_targets: List[float] = []
-        a_voltages: List[float] = []
-        for (_name, vf_index), trace in alpha_traces.items():
-            voltage = self.spec.vf_table.by_index(vf_index).voltage
-            feats, powers, temps = self.features_and_power(trace)
-            for f, p, t in zip(feats, powers, temps):
-                a_rows.append(f)
-                a_targets.append(p - idle_model.predict(voltage, t))
-                a_voltages.append(voltage)
-        if a_rows:
-            alpha = estimate_alpha(model, a_rows, a_targets, a_voltages)
-            model = model.with_alpha(alpha)
-        return model
+        return fit_dynamic_power_model(rows, targets, train_voltage=v5)
 
     def fit_pg_model(
         self, sweeps: Mapping[int, Tuple[Sequence[float], Sequence[float]]]
@@ -879,44 +849,29 @@ class PPEPTrainer:
         self,
         combos: Sequence[BenchmarkCombination],
         library: Optional[TraceLibrary] = None,
-        alpha_vf_indices: Sequence[int] = (),
         with_pg_model: bool = True,
         events=None,
     ) -> PPEP:
         """Full training run: idle model, Eq. 3 weights, alpha, PG model.
 
         ``combos`` is the *training* set (the cross-validation harness
-        passes fold subsets).  By default alpha comes from the bench_A
-        calibration runs (see :meth:`estimate_alpha_from_microbench`);
-        pass ``alpha_vf_indices`` to instead derive it from the training
-        suite's traces at those VF states.  ``events`` is an optional
-        :class:`repro.obs.events.EventLog`; a ``model_retrain`` event is
-        emitted when training completes.
+        passes fold subsets); alpha comes from the bench_A calibration
+        runs (see :meth:`estimate_alpha_from_microbench`).  ``events``
+        is an optional :class:`repro.obs.events.EventLog`; a
+        ``model_retrain`` event is emitted when training completes.
         """
         started = time.perf_counter()
         registry = get_registry()
         registry.counter("ppep.train.runs").inc()
-        data = TrainingData()
-        data.cooling = self.collect_all_cooling(library)
-        idle_model = fit_idle_power_model(data.cooling)
+        idle_model = fit_idle_power_model(self.collect_all_cooling(library))
 
         vf5 = self.spec.vf_table.fastest
         vf5_traces = {
             combo.name: self.collect_trace(combo, vf5, library) for combo in combos
         }
-        alpha_traces: Dict[Tuple[str, int], Trace] = {}
-        for combo in combos:
-            for vf_index in alpha_vf_indices:
-                if vf_index >= vf5.index or vf_index < 1:
-                    continue
-                vf = self.spec.vf_table.by_index(vf_index)
-                alpha_traces[(combo.name, vf_index)] = self.collect_trace(
-                    combo, vf, library
-                )
-        dynamic_model = self.fit_dynamic_model(idle_model, vf5_traces, alpha_traces)
-        if not alpha_traces:
-            alpha = self.estimate_alpha_from_microbench(idle_model, library)
-            dynamic_model = dynamic_model.with_alpha(alpha)
+        dynamic_model = self.fit_dynamic_model(idle_model, vf5_traces)
+        alpha = self.estimate_alpha_from_microbench(idle_model, library)
+        dynamic_model = dynamic_model.with_alpha(alpha)
 
         pg_model = None
         if with_pg_model and self.spec.supports_power_gating:

@@ -177,7 +177,7 @@ class ExperimentContext:
         fold-independent idle model, alpha, and PG decomposition."""
         vf5 = self.spec.vf_table.fastest
         vf5_traces = {c.name: self.trace(c, vf5) for c in train}
-        model = self.trainer.fit_dynamic_model(self.idle_model, vf5_traces, {})
+        model = self.trainer.fit_dynamic_model(self.idle_model, vf5_traces)
         model = model.with_alpha(self.alpha)
         return PPEP(self.spec, self.idle_model, model, self.pg_model)
 

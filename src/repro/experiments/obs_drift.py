@@ -18,7 +18,7 @@ injection point) lives in ``tests/test_obs.py``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.core.ppep import stable_seed
 from repro.faults.filtering import HardenedPPEP
@@ -53,7 +53,7 @@ def record_demo(
     drift_scale: float = 1.15,
     node: str = "node0",
     warmup_intervals: int = 150,
-) -> Tuple[PredictionLedger, EventLog]:
+) -> PredictionLedger:
     """Run the hardened online loop with a mid-run power-sensor drift.
 
     ``ctx`` is an :class:`~repro.experiments.common.ExperimentContext`
@@ -64,8 +64,8 @@ def record_demo(
     The first ``warmup_intervals`` intervals are stepped but not
     recorded, so the chip reaches thermal steady state and the
     calibration band reflects the model's settled error rather than
-    the warm-up ramp.  Returns the filled ledger and its event log
-    (written to ``path`` as JSONL when given).
+    the warm-up ramp.  Returns the filled ledger; its rows go to
+    ``path`` as JSONL events when given.
     """
     if n_intervals <= drift_at:
         raise ValueError("n_intervals must exceed drift_at")
@@ -104,4 +104,4 @@ def record_demo(
                     measured_power=sample.measured_power * drift_scale,
                 )
             hardened.estimate_current(sample)
-    return ledger, events
+    return ledger

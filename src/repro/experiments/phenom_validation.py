@@ -67,7 +67,7 @@ def run(ctx: ExperimentContext) -> PhenomResult:
     alpha = trainer.estimate_alpha_from_microbench(idle_model)
     vf_top = spec.vf_table.fastest
     vf5_traces = {c.name: trainer.collect_trace(c, vf_top, library) for c in train}
-    dyn_model = trainer.fit_dynamic_model(idle_model, vf5_traces, {}).with_alpha(alpha)
+    dyn_model = trainer.fit_dynamic_model(idle_model, vf5_traces).with_alpha(alpha)
     ppep = PPEP(spec, idle_model, dyn_model, pg_model=None)
 
     # The paper validates VF4 down to VF2 on this part.

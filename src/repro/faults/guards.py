@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.dvfs.governor import DVFSController
-from repro.faults.filtering import GOOD, TelemetryFilter
+from repro.faults.filtering import TelemetryFilter
 from repro.hardware.microarch import ChipSpec
 from repro.hardware.platform import IntervalSample
 from repro.hardware.vfstates import VFState
@@ -34,60 +34,25 @@ class GuardedController(DVFSController):
     assignment is returned again.
     """
 
-    def __init__(
-        self,
-        inner: DVFSController,
-        spec: ChipSpec,
-        node: str = "node0",
-        events=None,
-    ) -> None:
+    def __init__(self, inner: DVFSController, spec: ChipSpec) -> None:
         self.inner = inner
         self.filter = TelemetryFilter(spec)
         self._held: Optional[List[VFState]] = None
         #: Intervals on which the guardrail overrode the inner decision.
         self.holds = 0
-        self.node = node
-        #: Optional :class:`repro.obs.events.EventLog`: emits a
-        #: ``filter_verdict`` for each flagged (non-GOOD) interval and a
-        #: ``vf_transition`` whenever the applied assignment changes.
-        self.events = events
-        self._interval = 0
 
     def reset(self) -> None:
         self.inner.reset()
         self.filter.reset()
         self._held = None
         self.holds = 0
-        self._interval = 0
 
     def decide(self, sample: IntervalSample) -> Sequence[VFState]:
         filtered = self.filter.ingest(sample)
-        interval = self._interval
-        self._interval += 1
-        if self.events is not None and filtered.quality != GOOD:
-            self.events.emit(
-                "filter_verdict",
-                node=self.node,
-                interval=interval,
-                quality=filtered.quality,
-                issues=list(filtered.issues),
-            )
         decision = list(self.inner.decide(filtered.sample))
         if not filtered.actionable and self._held is not None:
             self.holds += 1
             get_registry().counter("obs.guard.holds").inc()
             return list(self._held)
-        if (
-            self.events is not None
-            and self._held is not None
-            and decision != self._held
-        ):
-            self.events.emit(
-                "vf_transition",
-                node=self.node,
-                interval=interval,
-                from_vf=[vf.index for vf in self._held],
-                to_vf=[vf.index for vf in decision],
-            )
         self._held = decision
         return decision

@@ -396,9 +396,9 @@ class ClusterPowerManager:
         the VF assignment the manager chose against the power the node
         then measured (as its filter cleaned it) -- the online Figure 7
         accuracy, one
-        :meth:`~repro.obs.ledger.PredictionLedger.record` call per row,
-        the call :meth:`~repro.obs.ledger.PredictionLedger.from_events`
-        replays.
+        :meth:`~repro.obs.ledger.PredictionLedger.record` call per row.
+        The rows live in the ledger's event log, from which
+        :func:`~repro.obs.report.replay` rebuilds the ledger.
 
     Each interval steps every node through its own
     :meth:`~repro.hardware.platform.Platform.step`, filters node by

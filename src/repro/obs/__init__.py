@@ -10,12 +10,14 @@ observable without slowing it down:
   zero-cost no-op mode;
 - :mod:`repro.obs.events` -- schema-versioned JSON-lines event emission
   (model retrain, VF transition, filter verdict, quarantine enter/exit,
-  cap reallocation, per-interval prediction records, drift flags);
+  cap reallocation, per-interval prediction records, drift flags); the
+  event stream is the one home of the per-interval rows;
 - :mod:`repro.obs.ledger` -- the :class:`PredictionLedger`: per-node
-  predicted-vs-realized CPI/power/energy, rolling MAE and percentile
-  error, and a CUSUM drift detector calibrated on the early error band;
-- :mod:`repro.obs.report` -- replays a recorded event stream into the
-  text report behind ``ppep-repro obs``.
+  and per-VF rolling MAE and percentile error of predicted-vs-realized
+  power, and a CUSUM drift detector calibrated on the early error band
+  (aggregates only);
+- :mod:`repro.obs.report` -- replays a recorded event stream into a
+  fresh ledger and the text report behind ``ppep-repro obs``.
 """
 
 from repro.obs.events import (
@@ -25,7 +27,7 @@ from repro.obs.events import (
     EventLog,
     read_events,
 )
-from repro.obs.ledger import CusumDetector, LedgerRecord, PredictionLedger, RollingStats
+from repro.obs.ledger import CusumDetector, PredictionLedger, RollingStats
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -46,7 +48,6 @@ __all__ = [
     "EventLog",
     "read_events",
     "PredictionLedger",
-    "LedgerRecord",
     "RollingStats",
     "CusumDetector",
     "Registry",

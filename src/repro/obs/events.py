@@ -125,17 +125,19 @@ def validate_event(type: str, fields: dict) -> None:
 
 
 class EventLog:
-    """An append-only JSONL event sink (in memory, optionally on disk).
+    """An append-only JSONL event sink (in memory, or on disk).
 
-    With ``path=None`` events accumulate in :attr:`records` only --
-    the cheap configuration for tests and benchmarks.  With a path,
-    pending events are serialised to the file (one JSONL line each) at
-    every :meth:`flush` point: the handle is opened lazily and a flush
-    happens every ``flush_every`` events and always in :meth:`close`,
-    keeping the OS syscall cost off the per-interval hot path.  Pass
-    ``flush_every=1`` to flush after every event -- the crash-debugging
-    configuration, where even a SIGKILL'd run leaves every emitted line
-    on disk.
+    With ``path=None`` every event stays in :attr:`records` -- memory
+    is the only sink, the configuration for tests and benchmarks.  With
+    a path, :attr:`records` holds only the events not yet written: each
+    :meth:`flush` appends them to the file (one JSONL line each) and
+    empties the list, so a long-running log costs memory for one flush
+    period, not for its whole history.  The handle is opened lazily and
+    a flush happens every ``flush_every`` events and always in
+    :meth:`close`, keeping the OS syscall cost off the per-interval hot
+    path.  Pass ``flush_every=1`` to flush after every event -- the
+    crash-debugging configuration, where even a SIGKILL'd run leaves
+    every emitted line on disk.
 
     Deferring the file writes to the flush points (rather than writing
     eagerly into a userspace buffer) is what lets a caller tie the file
@@ -152,8 +154,6 @@ class EventLog:
         self.flush_every = int(flush_every)
         self.records: List[dict] = []
         self._handle = None
-        #: Records already written to the file (an index into records).
-        self._written = 0
 
     def emit(self, type: str, node: str = "node0", interval: int = 0, **fields) -> dict:
         """Validate and record one event (written out at the next flush)."""
@@ -167,24 +167,22 @@ class EventLog:
         event["node"] = node
         event["interval"] = int(interval)
         self.records.append(event)
-        if (
-            self.path is not None
-            and len(self.records) - self._written >= self.flush_every
-        ):
+        if self.path is not None and len(self.records) >= self.flush_every:
             self.flush()
         return event
 
     def flush(self) -> None:
-        """Write any pending records to the file and push them to the OS."""
-        if self.path is None or self._written >= len(self.records):
+        """Write the pending records to the file, push them to the OS,
+        and drop them from memory."""
+        if self.path is None or not self.records:
             return
         if self._handle is None:
             # Pinned encoding: a ledger written under a non-UTF-8 locale
             # must still read back identically on any other machine.
             self._handle = open(self.path, "a", encoding="utf-8")
-        for event in self.records[self._written:]:
+        for event in self.records:
             self._handle.write(json.dumps(event, sort_keys=True) + "\n")
-        self._written = len(self.records)
+        self.records.clear()
         self._handle.flush()
 
     def close(self) -> None:
@@ -202,14 +200,16 @@ class EventLog:
         """Release the file handle *discarding* the pending tail.
 
         The already-flushed prefix of the file is untouched; records
-        emitted since the last flush are dropped from the file (they
-        stay in :attr:`records`).  This is the exit path for a caller
-        whose flush discipline is tied to checkpoints and whose final
-        checkpoint was vetoed or failed: persisting the tail would let
-        the event file run ahead of the durable state, and a restart
-        that replays from that state would then append duplicates.
+        emitted since the last flush are dropped, from the file and
+        from memory.  This is the exit path for a caller whose flush
+        discipline is tied to checkpoints and whose final checkpoint
+        was vetoed or failed: persisting the tail would let the event
+        file run ahead of the durable state, and a restart that replays
+        from that state would then append duplicates.  An in-memory log
+        has no tail to discard and keeps its records.
         """
-        self._written = len(self.records)
+        if self.path is not None:
+            self.records.clear()
         if self._handle is not None:
             self._handle.close()
             self._handle = None
@@ -221,15 +221,21 @@ class EventLog:
         self.close()
 
     def __len__(self) -> int:
+        """Events held in memory (for a file-backed log, the unwritten tail)."""
         return len(self.records)
 
     def of_type(self, type: str) -> List[dict]:
-        """The recorded events of one type, in emission order."""
+        """The held events of one type, in emission order."""
         return [e for e in self.records if e["type"] == type]
 
 
 def read_events(path: str) -> Iterator[dict]:
-    """Parse a JSONL event file; rejects records from a newer schema."""
+    """Parse and validate a JSONL event file.
+
+    Each line must be a JSON object of a schema no newer than
+    :data:`SCHEMA_VERSION` that passes :func:`validate_event`; the
+    first line that is not raises ``ValueError("path:line: reason")``.
+    """
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
@@ -241,6 +247,10 @@ def read_events(path: str) -> Iterator[dict]:
                 raise ValueError(
                     "{}:{}: not valid JSON ({})".format(path, line_no, exc)
                 )
+            if not isinstance(event, dict):
+                raise ValueError(
+                    "{}:{}: not a JSON object".format(path, line_no)
+                )
             version = event.get("v")
             if version is None or version > SCHEMA_VERSION:
                 raise ValueError(
@@ -249,4 +259,8 @@ def read_events(path: str) -> Iterator[dict]:
                         path, line_no, version, SCHEMA_VERSION
                     )
                 )
+            try:
+                validate_event(event.get("type"), event)
+            except ValueError as exc:
+                raise ValueError("{}:{}: {}".format(path, line_no, exc)) from None
             yield event

@@ -4,19 +4,23 @@ Hofmann et al. (arXiv:1803.01618) show analytic power/energy models
 drift badly once the workload leaves the calibration region, and the
 PPEP paper itself only reports *offline* cross-validated error.  The
 :class:`PredictionLedger` closes that gap: every decision interval it
-records what the model predicted at the chosen VF state against what
+scores what the model predicted at the chosen VF state against what
 the platform then measured, maintains rolling MAE / percentile error
 per node and per VF state, and runs a CUSUM detector that flags when
 the online error leaves the band established during a calibration
 prefix -- the online analogue of "the model no longer matches the
 machine it was trained on".
+
+The ledger keeps only these aggregates.  Each row goes to the event
+stream as a ``prediction`` event, and :func:`repro.obs.report.replay`
+rebuilds a ledger from the stream.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import get_registry
@@ -24,7 +28,6 @@ from repro.obs.metrics import get_registry
 __all__ = [
     "RollingStats",
     "CusumDetector",
-    "LedgerRecord",
     "PredictionLedger",
 ]
 
@@ -160,90 +163,6 @@ class CusumDetector:
         self.statistic = float(state["statistic"])
 
 
-class LedgerRecord:
-    """One predicted-vs-realized row of the ledger.
-
-    A ``__slots__`` class rather than a dataclass: one of these is
-    built per node per interval on the online hot path, and the
-    ``bench_obs`` overhead gate counts every microsecond.
-
-    Attributes: ``node``, ``interval``, ``vf_index`` (the chosen
-    operating point), ``predicted_power`` / ``measured_power`` /
-    ``interval_s``, ``error`` (predicted minus measured, watts),
-    ``predicted_cpi`` / ``realized_cpi`` (None when unavailable, e.g.
-    fleet rows that only price power), ``quality`` (the
-    telemetry-filter verdict, if filtered), and ``drift`` (whether
-    this row tripped the CUSUM detector).
-    """
-
-    __slots__ = (
-        "node",
-        "interval",
-        "vf_index",
-        "predicted_power",
-        "measured_power",
-        "interval_s",
-        "error",
-        "predicted_cpi",
-        "realized_cpi",
-        "quality",
-        "drift",
-    )
-
-    def __init__(
-        self,
-        node: str,
-        interval: int,
-        vf_index: int,
-        predicted_power: float,
-        measured_power: float,
-        interval_s: float,
-        error: float,
-        predicted_cpi: Optional[float] = None,
-        realized_cpi: Optional[float] = None,
-        quality: Optional[str] = None,
-        drift: bool = False,
-    ) -> None:
-        self.node = node
-        self.interval = interval
-        self.vf_index = vf_index
-        self.predicted_power = predicted_power
-        self.measured_power = measured_power
-        self.interval_s = interval_s
-        self.error = error
-        self.predicted_cpi = predicted_cpi
-        self.realized_cpi = realized_cpi
-        self.quality = quality
-        self.drift = drift
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            "LedgerRecord(node={!r}, interval={}, vf_index={}, "
-            "error={:+.3f} W, drift={})".format(
-                self.node, self.interval, self.vf_index, self.error, self.drift
-            )
-        )
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.error)
-
-    @property
-    def relative_error(self) -> float:
-        denom = abs(self.measured_power)
-        return self.abs_error / denom if denom > 1e-12 else 0.0
-
-    @property
-    def predicted_energy(self) -> float:
-        """Predicted interval energy, joules."""
-        return self.predicted_power * self.interval_s
-
-    @property
-    def realized_energy(self) -> float:
-        """Measured interval energy, joules."""
-        return self.measured_power * self.interval_s
-
-
 class _NodeState:
     """Per-node rolling windows, calibration buffer, and detector."""
 
@@ -286,11 +205,8 @@ class PredictionLedger:
     events:
         Optional :class:`~repro.obs.events.EventLog`; when given, every
         record emits a ``prediction`` event and every detector trip
-        emits a ``drift`` event, making the ledger replayable.
-    keep_records:
-        Keep every :class:`LedgerRecord` in memory (reports, tests).
-        Long fleet runs can turn this off and rely on the rolling
-        aggregates plus the JSONL stream.
+        emits a ``drift`` event, making the ledger replayable.  The
+        ledger itself keeps no rows, only the aggregates below.
     """
 
     def __init__(
@@ -300,7 +216,6 @@ class PredictionLedger:
         cusum_slack: float = 0.5,
         cusum_threshold: float = 8.0,
         events: Optional[EventLog] = None,
-        keep_records: bool = True,
     ) -> None:
         if calibration_intervals < 2:
             raise ValueError("calibration needs at least 2 intervals")
@@ -309,8 +224,6 @@ class PredictionLedger:
         self.cusum_slack = cusum_slack
         self.cusum_threshold = cusum_threshold
         self.events = events
-        self.keep_records = keep_records
-        self.records: List[LedgerRecord] = []
         #: (node, interval, statistic) per drift flag, in order.
         self.drift_flags: List[Tuple[str, int, float]] = []
         self._nodes: Dict[str, _NodeState] = {}
@@ -343,8 +256,10 @@ class PredictionLedger:
         predicted_cpi: Optional[float] = None,
         realized_cpi: Optional[float] = None,
         quality: Optional[str] = None,
-    ) -> LedgerRecord:
-        """Ingest one predicted-vs-realized interval; returns the row."""
+    ) -> bool:
+        """Ingest one predicted-vs-realized interval; True when it
+        flags drift.  The row itself is not kept: it goes to the event
+        log as a ``prediction`` event when one is attached."""
         state = self._node(node)
         error = float(predicted_power) - float(measured_power)
         abs_error = abs(error)
@@ -376,22 +291,7 @@ class PredictionLedger:
                 detector.calibrate(mean, math.sqrt(var))
                 state.calibration = []
 
-        row = LedgerRecord(
-            node=node,
-            interval=int(interval),
-            vf_index=int(vf_index),
-            predicted_power=float(predicted_power),
-            measured_power=float(measured_power),
-            interval_s=float(interval_s),
-            error=error,
-            predicted_cpi=predicted_cpi,
-            realized_cpi=realized_cpi,
-            quality=quality,
-            drift=drift,
-        )
-        if self.keep_records:
-            self.records.append(row)
-
+        interval = int(interval)
         registry = get_registry()
         if registry.enabled:
             # Skip instrument lookup/formatting wholesale when
@@ -401,19 +301,19 @@ class PredictionLedger:
             registry.gauge(state.gauge_name).set(state.abs_stats.mean)
 
         if drift:
-            self.drift_flags.append((node, row.interval, self.cusum_threshold))
+            self.drift_flags.append((node, interval, self.cusum_threshold))
             if registry.enabled:
                 registry.counter("obs.ledger.drift_flags").inc()
         if self.events is not None:
             self.events.emit(
                 "prediction",
                 node=node,
-                interval=row.interval,
-                vf_index=row.vf_index,
-                predicted_power=row.predicted_power,
-                measured_power=row.measured_power,
-                error=row.error,
-                interval_s=row.interval_s,
+                interval=interval,
+                vf_index=int(vf_index),
+                predicted_power=float(predicted_power),
+                measured_power=float(measured_power),
+                error=error,
+                interval_s=float(interval_s),
                 predicted_cpi=predicted_cpi,
                 realized_cpi=realized_cpi,
                 quality=quality,
@@ -422,12 +322,12 @@ class PredictionLedger:
                 self.events.emit(
                     "drift",
                     node=node,
-                    interval=row.interval,
+                    interval=interval,
                     statistic=self.cusum_threshold,
                     threshold=self.cusum_threshold,
                     rolling_mae=state.abs_stats.mean,
                 )
-        return row
+        return drift
 
     # -- checkpointing -------------------------------------------------------
 
@@ -438,9 +338,9 @@ class PredictionLedger:
         calibration buffers, CUSUM accumulators, the per-VF aggregates,
         and the drift-flag history -- everything a restarted service
         needs for its *next* :meth:`record` call to behave bit-
-        identically to an uninterrupted run.  The :attr:`records` row
-        history is deliberately not included: rows already live in the
-        JSONL event stream (which survives restarts by appending).
+        identically to an uninterrupted run.  Rows are not part of it:
+        they live in the JSONL event stream (which survives restarts by
+        appending).
         """
         return {
             "window": self.window,
@@ -499,7 +399,6 @@ class PredictionLedger:
             (str(node), int(interval), float(stat))
             for node, interval, stat in state["drift_flags"]
         ]
-        self.records = []
 
     # -- aggregates ----------------------------------------------------------
 
@@ -540,32 +439,3 @@ class PredictionLedger:
                 "drift_flags": flags_by_node.get(node, 0),
             }
         return out
-
-    # -- replay --------------------------------------------------------------
-
-    @classmethod
-    def from_events(
-        cls, events: Iterable[dict], **kwargs
-    ) -> "PredictionLedger":
-        """Rebuild a ledger by replaying ``prediction`` events.
-
-        Drift is *recomputed* from the replayed series (the detector is
-        deterministic), so a report built from a raw JSONL stream shows
-        the same flags the live run emitted.
-        """
-        ledger = cls(**kwargs)
-        for event in events:
-            if event.get("type") != "prediction":
-                continue
-            ledger.record(
-                node=event.get("node", "node0"),
-                interval=event.get("interval", 0),
-                vf_index=event["vf_index"],
-                predicted_power=event["predicted_power"],
-                measured_power=event["measured_power"],
-                interval_s=event.get("interval_s", 0.2),
-                predicted_cpi=event.get("predicted_cpi"),
-                realized_cpi=event.get("realized_cpi"),
-                quality=event.get("quality"),
-            )
-        return ledger

@@ -41,8 +41,10 @@ def replay(events: Iterable[dict], **ledger_kwargs) -> ObsReport:
 
     ``events`` is any iterable of parsed event dicts (typically
     :func:`repro.obs.events.read_events` on a JSONL file).  Prediction
-    rows are re-ingested so drift is recomputed deterministically;
-    recorded ``drift`` events are kept in the timeline as emitted, so a
+    rows are re-ingested so drift is recomputed deterministically: under
+    the live run's ledger settings (and without ``set_band``), the
+    report's ledger equals the live one, ``state_dict`` included.
+    Recorded ``drift`` events are kept in the timeline as emitted, so a
     replayed report also shows flags from runs with different detector
     settings.
     """
@@ -63,7 +65,7 @@ def replay(events: Iterable[dict], **ledger_kwargs) -> ObsReport:
             if event.get("quality") == "good":
                 tallies = report.verdicts.setdefault(node, {})
                 tallies["good"] = tallies.get("good", 0) + 1
-            row = ledger.record(
+            drift = ledger.record(
                 node=node,
                 interval=interval,
                 vf_index=event["vf_index"],
@@ -74,7 +76,7 @@ def replay(events: Iterable[dict], **ledger_kwargs) -> ObsReport:
                 realized_cpi=event.get("realized_cpi"),
                 quality=event.get("quality"),
             )
-            if row.drift:
+            if drift:
                 recomputed_drifts.append((interval, node))
         elif etype == "drift":
             recorded_drifts.add((node, interval))

@@ -45,7 +45,7 @@ import pickle
 import queue
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.obs.events import EventLog
@@ -69,7 +69,6 @@ class ShardSpec:
     budget_w: Optional[float] = None
     policy: str = "proportional"
     unhealthy_after: int = 3
-    ledger_kwargs: Optional[dict] = field(default=None)
 
 
 class _ShardHandle:
@@ -126,8 +125,9 @@ class ShardManager:
     checkpoint_dir / checkpoint_every:
         Where shard checkpoints live (``shard-<sku>.json``) and how many
         processed intervals between snapshots.  ``None`` disables
-        checkpointing (and with it the in-flight redelivery ledger; the
-        legacy queue salvage still limits losses to one period).
+        checkpointing and with it the in-flight redelivery ledger: a
+        restarted worker starts cold, and the legacy queue salvage
+        carries over only the dead worker's unconsumed backlog.
     events_dir:
         Where per-shard JSONL event streams live (``shard-<sku>.jsonl``)
         plus the manager's own resilience events (``manager.jsonl``).
@@ -193,7 +193,6 @@ class ShardManager:
                 "budget_w": shard.budget_w,
                 "policy": shard.policy,
                 "unhealthy_after": shard.unhealthy_after,
-                "ledger_kwargs": shard.ledger_kwargs,
                 "epoch": 0,
                 "disk_chaos": disk_chaos,
                 "checkpoint_path": (

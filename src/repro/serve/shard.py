@@ -80,8 +80,9 @@ class ShardPipeline:
         to the slowest VF decision and granted only its floor power
         (:func:`~repro.fleet.cluster_cap.allocate_with_quarantine`, the
         same split the fleet manager uses).
-    events / ledger_kwargs:
-        Observability sink and ledger tunables.
+    events:
+        Observability sink for the shard's events and its ledger's
+        ``prediction`` rows.
 
     Nodes deliver intervals asynchronously, so the shard batches across
     nodes only at the allocation round; within an interval each node's
@@ -105,7 +106,6 @@ class ShardPipeline:
         policy: str = "proportional",
         unhealthy_after: int = 3,
         events: Optional[EventLog] = None,
-        ledger_kwargs: Optional[dict] = None,
     ) -> None:
         if not node_names:
             raise ValueError("a shard needs at least one node")
@@ -123,7 +123,7 @@ class ShardPipeline:
         self.policy = policy
         self.unhealthy_after = int(unhealthy_after)
         self.events = events
-        self.ledger = PredictionLedger(events=events, **(ledger_kwargs or {}))
+        self.ledger = PredictionLedger(events=events)
         self._budgets: Dict[str, ExternalBudget] = {}
         self._cappers: Dict[str, PPEPPowerCapper] = {}
         self._filters: Dict[str, TelemetryFilter] = {}
@@ -420,7 +420,6 @@ def shard_worker_main(config: dict, in_queue, out_queue) -> None:
         policy=config.get("policy", "proportional"),
         unhealthy_after=config.get("unhealthy_after", 3),
         events=events,
-        ledger_kwargs=config.get("ledger_kwargs"),
     )
     epoch = int(config.get("epoch", 0))
     delivered = 0

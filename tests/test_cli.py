@@ -245,3 +245,47 @@ class TestBackendImportAction:
         ]) == 2
         err = capsys.readouterr().err
         assert "--interval-s must be positive" in err
+
+
+class TestObsCommand:
+    def test_replays_golden_stream(self, capsys):
+        import os
+
+        golden = os.path.join(
+            os.path.dirname(__file__), "data", "obs_events.golden.jsonl"
+        )
+        assert main(["obs", golden]) == 0
+        out = capsys.readouterr().out
+        assert "Online prediction error by VF state" in out
+        assert "Per-node health" in out
+        assert "Replayed events:" in out
+
+    def test_requires_a_path(self, capsys):
+        assert main(["obs"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
+
+    def test_rejects_missing_file(self, tmp_path, capsys):
+        assert main(["obs", str(tmp_path / "nope.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "no ledger at" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("line, reason", [
+        ("not json", "not valid JSON"),
+        ("[4, 5]", "not a JSON object"),
+        ('{"v": 99, "type": "prediction"}', "schema version 99"),
+        ('{"v": 4, "type": "prediction", "node": "n0", "interval": 0, '
+         '"predicted_power": 41.0, "measured_power": 40.0, "error": 1.0}',
+         "missing required fields: vf_index"),
+    ], ids=["not-json", "not-an-object", "newer-schema", "missing-field"])
+    def test_rejects_corrupt_ledger(self, tmp_path, capsys, line, reason):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        assert main(["obs", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: {}:1: ".format(bad))
+        assert reason in err
+        assert err.count("\n") == 1  # one-line error, no traceback

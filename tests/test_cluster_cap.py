@@ -190,11 +190,13 @@ class TestClusterPowerManager:
         import dataclasses
 
         from repro.faults.filtering import REPAIRED
+        from repro.obs.events import EventLog
         from repro.obs.ledger import PredictionLedger
 
         fleet = make_fleet([FX8320_SPEC], tiny_registry)
+        events = EventLog()
         manager = ClusterPowerManager(
-            fleet, 52.0, harden=True, ledger=PredictionLedger(keep_records=True)
+            fleet, 52.0, harden=True, ledger=PredictionLedger(events=events)
         )
         verdicts = []
         ingest = manager._filters[0].ingest
@@ -224,10 +226,10 @@ class TestClusterPowerManager:
         manager.run(6)
         verdict = verdicts[-1]
         assert verdict.quality == REPAIRED and "spike" in verdict.issues
-        row = manager.ledger.records[-1]
-        assert row.interval == 5 and row.quality == REPAIRED
-        assert row.measured_power == verdict.sample.measured_power
-        assert row.measured_power < raw[-1].measured_power
+        row = events.of_type("prediction")[-1]
+        assert row["interval"] == 5 and row["quality"] == REPAIRED
+        assert row["measured_power"] == verdict.sample.measured_power
+        assert row["measured_power"] < raw[-1].measured_power
 
     def test_record_shapes(self, tiny_registry):
         fleet = make_fleet([FX8320_SPEC] * 2, tiny_registry)

@@ -6,7 +6,6 @@ import pytest
 from repro.core.dynamic_power import (
     DynamicPowerModel,
     dynamic_feature_vector,
-    estimate_alpha,
     fit_dynamic_power_model,
 )
 from repro.hardware.events import Event, EventVector
@@ -100,33 +99,3 @@ class TestEstimate:
         model = make_model(alpha=2.0).with_alpha(1.5)
         assert model.alpha == 1.5
 
-
-class TestAlphaEstimation:
-    def test_recovers_true_alpha(self):
-        rows, _targets, true = synthetic_rows(n=100)
-        model = DynamicPowerModel(
-            weights=tuple(true), alpha=1.0, train_voltage=V5
-        )
-        # Build measurements at other voltages with alpha = 2.3.
-        alpha_true = 2.3
-        feats, targets, volts = [], [], []
-        for voltage in (0.9, 1.0, 1.1):
-            for row in rows[:30]:
-                core = model.core_term(np.asarray(row), V5)
-                nb = model.nb_term(np.asarray(row))
-                targets.append(core * (voltage / V5) ** alpha_true + nb)
-                feats.append(row)
-                volts.append(voltage)
-        estimated = estimate_alpha(model, feats, targets, volts)
-        assert estimated == pytest.approx(alpha_true, abs=1e-6)
-
-    def test_training_voltage_samples_ignored(self):
-        rows, targets, true = synthetic_rows(n=10)
-        model = DynamicPowerModel(weights=tuple(true), alpha=2.0, train_voltage=V5)
-        with pytest.raises(ValueError):
-            estimate_alpha(model, rows, targets, [V5] * len(rows))
-
-    def test_alignment_checked(self):
-        model = make_model()
-        with pytest.raises(ValueError):
-            estimate_alpha(model, [np.ones(9)], [1.0, 2.0], [1.0])

@@ -105,12 +105,8 @@ class TestTrainingInvariance:
             )
             for name, trace in traces.items()
         }
-        base = quick_ctx.trainer.fit_dynamic_model(
-            quick_ctx.idle_model, traces, {}
-        )
-        other = quick_ctx.trainer.fit_dynamic_model(
-            quick_ctx.idle_model, rescaled, {}
-        )
+        base = quick_ctx.trainer.fit_dynamic_model(quick_ctx.idle_model, traces)
+        other = quick_ctx.trainer.fit_dynamic_model(quick_ctx.idle_model, rescaled)
         np.testing.assert_allclose(base.weights, other.weights, atol=TOL)
         assert other.alpha == pytest.approx(base.alpha, abs=TOL)
 

@@ -54,7 +54,9 @@ def _fleet_ledger(registry):
     nodes = ledger.state_dict()["nodes"].values()
     # CUSUM ran, and the filter repaired some scored intervals.
     assert any(node["detector"]["mean"] is not None for node in nodes)
-    assert any(row.quality == "repaired" for row in ledger.records)
+    assert any(
+        row["quality"] == "repaired" for row in events.of_type("prediction")
+    )
     return ledger, events
 
 
@@ -261,7 +263,7 @@ class TestEventLogBuffering:
         events.emit("quarantine_enter", interval=1, bad_streak=1)
         events.abort()
         assert self._lines_on_disk(path) == 1
-        assert len(events) == 2  # in-memory records are untouched
+        assert len(events) == 0  # the pending tail is gone from memory too
         events.close()  # a later close writes nothing extra
         assert self._lines_on_disk(path) == 1
 
@@ -462,18 +464,10 @@ class TestPredictionLedger:
             ("synthetic", self._shifted_node()),
             ("fleet", _fleet_ledger(tiny_registry)),
         ):
-            replayed = PredictionLedger.from_events(
-                events.records, calibration_intervals=16
-            )
+            replayed = replay(events.records, calibration_intervals=16).ledger
             assert replayed.state_dict() == live.state_dict(), case
             assert replayed.drift_flags == live.drift_flags, case
             assert replayed.node_summary() == live.node_summary(), case
-
-    def test_keep_records_off_drops_rows_not_aggregates(self):
-        ledger = PredictionLedger(keep_records=False)
-        self._fill(ledger, 8, error=1.5)
-        assert ledger.records == []
-        assert ledger.node_mae("node0") == pytest.approx(1.5)
 
     def test_calibration_needs_two_intervals(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from repro.fleet.cluster_cap import ClusterPowerManager
 from repro.fleet.simulator import make_fleet
 from repro.hardware.microarch import FX8320_SPEC
 from repro.hardware.platform import CoreAssignment, Platform
-from repro.obs.events import EventLog
+from repro.obs.events import EventLog, read_events
 from repro.obs.ledger import PredictionLedger
 from repro.serve.shard import ShardPipeline
 from repro.workloads.synthetic import make_cpu_bound, make_memory_bound
@@ -250,7 +250,7 @@ class TestShardPipelineRoundTrip:
     """The whole per-SKU serve engine restores to bit-identical decisions."""
 
     def _pipeline(self, tiny_registry, events=None):
-        return ShardPipeline(
+        pipeline = ShardPipeline(
             sku="fx8320",
             spec=FX8320_SPEC,
             ppep=tiny_registry.get(FX8320_SPEC),
@@ -258,9 +258,14 @@ class TestShardPipelineRoundTrip:
             budget_w=160.0,
             unhealthy_after=2,
             events=events,
-            ledger_kwargs=dict(window=8, calibration_intervals=6,
-                               cusum_slack=0.5, cusum_threshold=4.0),
         )
+        # The detector calibrates on 6 rows, before the interval-12
+        # checkpoint, so the round trip carries a running CUSUM.
+        pipeline.ledger = PredictionLedger(
+            window=8, calibration_intervals=6, cusum_slack=0.5,
+            cusum_threshold=4.0, events=events,
+        )
+        return pipeline
 
     def _streams(self, n):
         return {
@@ -330,6 +335,37 @@ class TestShardPipelineRoundTrip:
             for node in ("a", "b"):
                 resumed.process(node, more[node][k])
         assert events_b.of_type("cap_reallocation") == []
+
+    def test_file_log_holds_one_checkpoint_period(self, tiny_registry, tmp_path):
+        """The worker's checkpoint-then-flush discipline: a file-backed
+        log keeps only the events emitted since its last flush, and the
+        file ends up equal to the same run's in-memory event stream."""
+        from repro.serve.checkpoint import Checkpointer
+
+        n = 25  # eight checkpoint periods and a pending tail
+        streams = self._streams(n)
+        path = str(tmp_path / "shard.jsonl")
+        on_disk = EventLog(path, flush_every=10**9)
+        in_memory = EventLog()
+        worker = self._pipeline(tiny_registry, events=on_disk)
+        reference = self._pipeline(tiny_registry, events=in_memory)
+        checkpointer = Checkpointer(
+            str(tmp_path / "shard.json"), worker.state_dict, every_intervals=6
+        )
+        flushes = written = 0
+        for k in range(n):
+            for node in ("a", "b"):
+                assert worker.process(node, streams[node][k]) == (
+                    reference.process(node, streams[node][k])
+                )
+                if checkpointer.tick(aligned=not worker.mid_round):
+                    on_disk.flush()
+                    flushes += 1
+                    written = len(in_memory)
+                assert on_disk.records == in_memory.records[written:]
+        on_disk.close()
+        assert flushes >= 3 and 0 < written < len(in_memory)
+        assert list(read_events(path)) == in_memory.records
 
     def test_roster_mismatch_rejected(self, tiny_registry):
         pipeline = self._pipeline(tiny_registry)

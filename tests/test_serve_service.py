@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.hardware.microarch import FX8320_SPEC
-from repro.obs.events import read_events
+from repro.obs.events import EventLog, read_events
 from repro.serve.checkpoint import read_checkpoint
 from repro.serve.ingest import Ingestor, ingest_lines, ingest_lines_async
 from repro.serve.manager import ShardManager, ShardSpec
@@ -70,9 +70,10 @@ def _shard_ledger_replay(tiny_registry, closed_loop, budget_w=180.0, intervals=4
     ppep = fleet.nodes[0].ppep
     table = FX8320_SPEC.vf_table
     names = [node.name for node in fleet.nodes]
+    events = EventLog()
     pipeline = ShardPipeline(
         sku="fx8320", spec=FX8320_SPEC, ppep=ppep, node_names=names,
-        budget_w=budget_w, ledger_kwargs=dict(keep_records=True),
+        budget_w=budget_w, events=events,
     )
     filters = {name: TelemetryFilter(ppep.spec) for name in names}
     held = dict.fromkeys(names)
@@ -126,13 +127,15 @@ def _shard_ledger_replay(tiny_registry, closed_loop, budget_w=180.0, intervals=4
                 assert result["decision"] == held[name]
                 how = "held"
             queued[name] = (result["decision"], price(applied), how)
+    predictions = events.of_type("prediction")
     rows = {
-        (row.node, row.interval): (
-            row.vf_index, row.predicted_power, row.measured_power, row.quality
+        (row["node"], row["interval"]): (
+            row["vf_index"], row["predicted_power"], row["measured_power"],
+            row["quality"],
         )
-        for row in pipeline.ledger.records
+        for row in predictions
     }
-    assert len(rows) == len(pipeline.ledger.records)
+    assert len(rows) == len(predictions)
     return expected, rows
 
 
@@ -211,9 +214,10 @@ class TestShardPipelineBehavior:
         from repro.serve.protocol import sample_from_wire
 
         ppep = tiny_registry.get(FX8320_SPEC)
+        events = EventLog()
         pipeline = ShardPipeline(
             sku="fx8320", spec=FX8320_SPEC, ppep=ppep, node_names=["solo"],
-            ledger_kwargs=dict(keep_records=True),
+            events=events,
         )
         shadow = TelemetryFilter(ppep.spec)
         wire = _wire_events("solo", "fx8320", 6)
@@ -229,10 +233,10 @@ class TestShardPipelineBehavior:
             verdict = shadow.ingest(sample)
             pipeline.process("solo", sample)
         assert verdict.quality == REPAIRED and "spike" in verdict.issues
-        row = pipeline.ledger.records[-1]
-        assert row.interval == 5 and row.quality == REPAIRED
-        assert row.measured_power == verdict.sample.measured_power
-        assert row.measured_power < samples[5].measured_power
+        row = events.of_type("prediction")[-1]
+        assert row["interval"] == 5 and row["quality"] == REPAIRED
+        assert row["measured_power"] == verdict.sample.measured_power
+        assert row["measured_power"] < samples[5].measured_power
 
     def test_rejected_sample_moves_only_its_filter(self, tiny_registry):
         """A line the model rejects (a non-positive diode temperature
@@ -245,7 +249,7 @@ class TestShardPipelineBehavior:
         pipeline = ShardPipeline(
             sku="fx8320", spec=FX8320_SPEC,
             ppep=tiny_registry.get(FX8320_SPEC),
-            node_names=["solo"], ledger_kwargs=dict(keep_records=True),
+            node_names=["solo"],
         )
         wire = _wire_events("solo", "fx8320", 5)
         samples = [sample_from_wire(e["sample"], FX8320_SPEC) for e in wire]
