@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Observability overhead benchmark: instrumented vs no-op pipeline.
 
-Times the hardened online decision loop -- telemetry filter plus the
+Times the hardened online decision loop -- one node's telemetry filter
+(:class:`~repro.fleet.cluster_cap.NodeControl`'s ``filter``) plus the
 full Figure 5 analysis (all-VF predictions and the current-power
 estimate), the per-interval work the paper's DVFS daemon performs --
 over the quick-roster sample set twice:
@@ -12,7 +13,10 @@ over the quick-roster sample set twice:
 - **instrumented** -- a recording registry, an in-memory
   :class:`~repro.obs.events.EventLog`, and a
   :class:`~repro.obs.ledger.PredictionLedger` with its CUSUM detector
-  live (what ``ppep-repro obs`` consumers pay).
+  live (what ``ppep-repro obs`` consumers pay), fed by the node's
+  ``NodeControl.report`` (``filter_verdict`` events) and
+  ``NodeControl.score`` (one row per actionable interval, scoring the
+  analysis's current-power estimate).
 
 The acceptance contract is the exit code: the instrumented loop must
 stay within ``--max-overhead`` percent (default 5) of baseline.  A
@@ -75,31 +79,45 @@ CHUNK = 120
 
 
 def _pipelines(ppep):
-    """Fresh (baseline, instrumented) loops, each with its registry, and
-    the instrumented side's event log and ledger."""
-    from repro.faults.filtering import HardenedPPEP
+    """Fresh (baseline, instrumented) node controllers, each with its
+    registry, and the instrumented side's event log and ledger."""
+    from repro.fleet.cluster_cap import NodeControl
     from repro.obs.events import EventLog
     from repro.obs.ledger import PredictionLedger
     from repro.obs.metrics import NullRegistry, Registry
 
     events = EventLog()
     ledger = PredictionLedger(events=events)
+    uncapped = float("inf")
     return (
-        (HardenedPPEP(ppep), NullRegistry()),
-        (HardenedPPEP(ppep, events=events, ledger=ledger), Registry()),
+        (NodeControl("node0", ppep, uncapped), NullRegistry()),
+        (
+            NodeControl("node0", ppep, uncapped, events=events, ledger=ledger),
+            Registry(),
+        ),
     ), (events, ledger)
 
 
-def _time_chunk(pipeline, samples):
-    """Seconds one pipeline takes over ``samples``, its registry live."""
+def _time_chunk(pipeline, samples, first):
+    """Seconds one pipeline takes over ``samples`` (intervals ``first``
+    onward), its registry live."""
     from repro.obs.metrics import set_registry
 
-    hardened, registry = pipeline
+    control, registry = pipeline
+    ppep = control.capper.ppep
+    observed = control.ledger is not None
     previous = set_registry(registry)
     try:
         started = time.perf_counter()
-        for sample in samples:
-            hardened.analyze(sample)
+        for interval, sample in enumerate(samples, first):
+            verdict = control.filter.ingest(sample)
+            snapshot = ppep.analyze(verdict.sample)
+            if observed:
+                control.report(interval, verdict)
+                control.score(
+                    interval, verdict.sample, verdict,
+                    lambda _vfs: snapshot.current_estimate,
+                )
         return time.perf_counter() - started
     finally:
         set_registry(previous)
@@ -142,7 +160,7 @@ def main(argv=None):
             # systematically favour either side.
             elapsed = [0.0, 0.0]
             for side in (1, 0) if (repeat + k) % 2 else (0, 1):
-                elapsed[side] = _time_chunk(pipelines[side], chunk)
+                elapsed[side] = _time_chunk(pipelines[side], chunk, k * CHUNK)
                 totals[side] += elapsed[side]
             ratios.append(elapsed[1] / elapsed[0] - 1.0)
             deltas.append((elapsed[1] - elapsed[0]) / len(chunk))

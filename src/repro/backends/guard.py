@@ -15,10 +15,11 @@ pipeline already understands:
   index/time and ``faults=("stale",)``.  This is deliberately the
   exact shape of a stale-daemon redelivery: the downstream
   :class:`~repro.faults.filtering.TelemetryFilter` stale-detects it,
-  issues a BAD verdict, a :class:`~repro.faults.guards.GuardedController`
-  holds its VF decision, and fleet-level quarantine counts the bad
-  streak -- the existing machinery absorbs backend failure with no new
-  side channel;
+  issues a BAD verdict, the node's
+  :class:`~repro.fleet.cluster_cap.NodeControl` holds its VF decision,
+  and in the fleet and the serve shard it counts the bad streak toward
+  quarantine -- the existing machinery absorbs backend failure with no
+  new side channel;
 - **quarantine** (persistent): after ``config.quarantine_streak``
   consecutive degraded reads the guard stops burning its full retry
   budget and issues a single probe per read until one succeeds.

@@ -26,6 +26,7 @@ the build on any gate.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -44,9 +45,10 @@ from repro.backends import (
     run_backend_controlled,
 )
 from repro.core.ppep import stable_seed
-from repro.dvfs.power_capping import PPEPPowerCapper, square_wave_cap
+from repro.dvfs.power_capping import square_wave_cap
 from repro.experiments.common import ExperimentContext
-from repro.faults import GuardedController, TelemetryFilter
+from repro.faults import TelemetryFilter
+from repro.fleet.cluster_cap import NodeControl
 from repro.hardware.platform import IntervalSample, Platform
 from repro.obs.events import EventLog
 
@@ -148,9 +150,11 @@ def _make_platform(ctx: ExperimentContext, combo, leg: str) -> Platform:
 
 
 def _make_controller(ctx: ExperimentContext, schedule):
-    return GuardedController(
-        PPEPPowerCapper(ctx.full_ppep, schedule), ctx.spec
-    )
+    """The node's whole controller.  It holds on BAD intervals but never
+    quarantines: a node pinned to its slowest state draws far less, and
+    the filter's window gate would replace those honest low readings
+    with the old window median."""
+    return NodeControl("node0", ctx.full_ppep, schedule, unhealthy_after=math.inf)
 
 
 def _hardened_mae(ctx: ExperimentContext, samples: List[IntervalSample]) -> Tuple[float, Dict[str, int]]:

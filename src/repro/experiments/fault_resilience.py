@@ -12,9 +12,11 @@ telemetry stream:
   :class:`~repro.faults.filtering.TelemetryFilter` in front.
 - **Capping leg** (the Figure 7 loop): a square-wave power cap chased by
   a raw :class:`~repro.dvfs.power_capping.PPEPPowerCapper` versus one
-  wrapped in a :class:`~repro.faults.guards.GuardedController`.  Scored
-  on ground-truth power -- violation rate, mean overshoot, and EDP-proxy
-  loss relative to the clean (zero-fault) run.
+  node's whole controller, :class:`~repro.fleet.cluster_cap.NodeControl`
+  (filter, capper, hold on BAD intervals; ``unhealthy_after=math.inf``,
+  so it never quarantines).  Scored on ground-truth power -- violation
+  rate, mean overshoot, and EDP-proxy loss relative to the clean
+  (zero-fault) run.
 
 Acceptance contract (enforced by ``benchmarks/bench_faults.py``): at a
 5 % fault rate the hardened prediction MAE stays within 2x the clean
@@ -23,6 +25,7 @@ baseline while the unhardened MAE measurably degrades.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -33,12 +36,8 @@ from repro.core.ppep import stable_seed
 from repro.dvfs.governor import run_controlled
 from repro.dvfs.power_capping import PPEPPowerCapper, square_wave_cap
 from repro.experiments.common import ExperimentContext
-from repro.faults import (
-    FaultInjector,
-    FaultSpec,
-    GuardedController,
-    TelemetryFilter,
-)
+from repro.faults import FaultInjector, FaultSpec, TelemetryFilter
+from repro.fleet.cluster_cap import NodeControl
 from repro.hardware.platform import INTERVAL_S, Platform
 
 __all__ = ["FaultResilienceResult", "DEFAULT_RATES", "run", "format_report"]
@@ -78,7 +77,7 @@ class CappingPoint:
     guarded_violation_rate: float
     guarded_overshoot: float
     guarded_edp_loss: float
-    #: Intervals on which the guardrail held the previous decision.
+    #: Intervals on which the controller held the previous decision.
     guard_holds: int
 
 
@@ -165,9 +164,10 @@ def _capping_run(
 ) -> Tuple[float, float, float, float, int]:
     """(violation rate, overshoot, energy J, instructions, holds)."""
     platform = _fault_platform(ctx, combo, vf, rate, "cap")
-    capper = PPEPPowerCapper(ctx.full_ppep, schedule)
     controller = (
-        GuardedController(capper, ctx.spec) if guarded else capper
+        NodeControl("node0", ctx.full_ppep, schedule, unhealthy_after=math.inf)
+        if guarded
+        else PPEPPowerCapper(ctx.full_ppep, schedule)
     )
     run_record = run_controlled(
         platform, controller, n_intervals,

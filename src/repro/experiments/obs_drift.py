@@ -2,16 +2,17 @@
 
 The observability layer's job is to notice, *online*, when the trained
 model stops matching the machine.  This scenario manufactures exactly
-that situation: a hardened PPEP loop runs normally for a calibration
-stretch, then the platform's power sensor develops a gain error (every
-reading scaled by a constant factor -- a classic shunt-drift failure
-mode).  The model's predictions are still correct for the machine, but
-the *measured* power the ledger compares them against walks away, so
-the per-interval error leaves the calibration band and the CUSUM
-detector must flag drift.
+that situation: one node's controller
+(:class:`~repro.fleet.cluster_cap.NodeControl`, with an uncapped capper)
+runs normally for a calibration stretch, then the platform's power
+sensor develops a gain error (every reading scaled by a constant factor
+-- a classic shunt-drift failure mode).  The model's predictions are
+still correct for the machine, but the *measured* power the ledger
+compares them against walks away, so the per-interval error leaves the
+calibration band and the CUSUM detector must flag drift.
 
 The recorded JSONL ledger is what ``ppep-repro obs`` replays; the
-golden-path assertion (at least one drift flag, none before the
+golden-path assertion (at least one drift flag, the first at the
 injection point) lives in ``tests/test_obs.py``.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.core.ppep import stable_seed
-from repro.faults.filtering import HardenedPPEP
+from repro.fleet.cluster_cap import NodeControl
 from repro.hardware.platform import CoreAssignment, Platform
 from repro.obs.events import EventLog
 from repro.obs.ledger import PredictionLedger
@@ -54,11 +55,14 @@ def record_demo(
     node: str = "node0",
     warmup_intervals: int = 150,
 ) -> PredictionLedger:
-    """Run the hardened online loop with a mid-run power-sensor drift.
+    """Run one node's control loop with a mid-run power-sensor drift.
 
     ``ctx`` is an :class:`~repro.experiments.common.ExperimentContext`
-    (its ``full_ppep`` is the model under observation).  From interval
-    ``drift_at`` onward every power reading is scaled by
+    (its ``full_ppep`` is the model under observation).  The node's
+    capper is uncapped, so it keeps the fastest state the platform
+    starts in, and every ledger row after the first scores the capper's
+    one-step-ahead price of that state, as the fleet's rows do.  From
+    interval ``drift_at`` onward every power reading is scaled by
     ``drift_scale``; event counts and ground truth are untouched, so
     the injected error is purely a telemetry-vs-model divergence.
     The first ``warmup_intervals`` intervals are stepped but not
@@ -92,7 +96,7 @@ def record_demo(
     # leaves a parseable (if truncated) JSONL ledger behind.
     with EventLog(path) as events:
         ledger = PredictionLedger(events=events, **DEMO_LEDGER_KWARGS)
-        hardened = HardenedPPEP(ppep, node=node, events=events, ledger=ledger)
+        control = NodeControl(node, ppep, float("inf"), events=events, ledger=ledger)
         for k in range(n_intervals):
             sample = platform.step()
             if k >= drift_at:
@@ -103,5 +107,7 @@ def record_demo(
                     ],
                     measured_power=sample.measured_power * drift_scale,
                 )
-            hardened.estimate_current(sample)
+            _verdict, applied = control.process(k, sample)
+            for cu, vf in enumerate(applied):
+                platform.set_cu_vf(cu, vf)
     return ledger

@@ -19,14 +19,13 @@ This package provides both halves of that story:
 - :mod:`repro.faults.filtering` -- an interval-sample validator and
   outlier-robust filter (:class:`TelemetryFilter`) that sits in front of
   :class:`~repro.core.ppep.PPEP` prediction, repairs what it can, and
-  tags every interval with a ``quality`` flag;
-- :mod:`repro.faults.guards` -- a :class:`GuardedController` wrapper
-  that holds the current VF state whenever an interval's telemetry
-  quality is too low to act on.
+  tags every interval with a ``quality`` flag.
 
-Fleet-level degradation (unhealthy-node detection and budget
-re-allocation) lives with the cluster manager in
-:mod:`repro.fleet.cluster_cap`.
+The policy that acts on those flags -- hold the VF assignment on a BAD
+interval, quarantine a node whose telemetry stays bad -- is one per-node
+controller, :class:`~repro.fleet.cluster_cap.NodeControl`, which the
+fleet manager, the serve shard and the single-node loops all run; the
+fleet manager and the shard re-allocate a quarantined node's budget.
 """
 
 from repro.faults.filtering import (
@@ -35,10 +34,8 @@ from repro.faults.filtering import (
     REPAIRED,
     FilterConfig,
     FilteredInterval,
-    HardenedPPEP,
     TelemetryFilter,
 )
-from repro.faults.guards import GuardedController
 from repro.faults.injection import FaultInjector, FaultSpec
 
 __all__ = [
@@ -49,7 +46,5 @@ __all__ = [
     "FaultSpec",
     "FilterConfig",
     "FilteredInterval",
-    "GuardedController",
-    "HardenedPPEP",
     "TelemetryFilter",
 ]

@@ -25,7 +25,8 @@ The result is a :class:`FilteredInterval`: a cleaned sample safe to feed
 the prediction pipeline, plus a ``quality`` flag -- :data:`GOOD`
 (untouched), :data:`REPAIRED` (some field replaced; still safe to act
 on), or :data:`BAD` (payload untrustworthy wholesale; controllers should
-hold their current state, see :mod:`repro.faults.guards`).
+hold their current state, as :class:`~repro.fleet.cluster_cap.NodeControl`
+does).
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ __all__ = [
     "REPAIRED",
     "FilterConfig",
     "FilteredInterval",
-    "HardenedPPEP",
     "TelemetryFilter",
 ]
 
@@ -333,95 +333,3 @@ class TelemetryFilter:
                 if implausible:
                     issues.append("counters")
         return events, issues
-
-
-class HardenedPPEP:
-    """A :class:`~repro.core.ppep.PPEP` behind a :class:`TelemetryFilter`.
-
-    Single-node wrapper for the online loop of the ``obs`` drift demo
-    and the observability overhead bench: each call validates the
-    delivered sample, runs the underlying model on the cleaned copy,
-    and returns the model output together with the
-    :class:`FilteredInterval` verdict.  Call exactly one of the methods
-    per delivered interval (each :meth:`TelemetryFilter.ingest` consumes
-    one slot of filter history).  Its ledger rows score an in-interval
-    estimate; the fleet manager and the serve shard score the capper's
-    one-step-ahead price instead
-    (:class:`~repro.fleet.cluster_cap.NodeControl`).
-
-    Optional observability wiring: pass ``events`` (a
-    :class:`repro.obs.events.EventLog`) to emit a ``filter_verdict``
-    event for every interval the filter flags (REPAIRED or BAD; GOOD
-    intervals stay silent -- the prediction row carries their quality),
-    and ``ledger`` (a
-    :class:`repro.obs.ledger.PredictionLedger`) to record every
-    predicted-vs-measured power pair, which feeds the rolling-MAE and
-    CUSUM drift machinery behind ``ppep-repro obs``.
-    """
-
-    def __init__(
-        self,
-        ppep,
-        node: str = "node0",
-        events=None,
-        ledger=None,
-    ) -> None:
-        self.ppep = ppep
-        self.filter = TelemetryFilter(ppep.spec)
-        self.node = node
-        self.events = events
-        self.ledger = ledger
-        self._interval = 0
-
-    def _observe(self, filtered: FilteredInterval, estimate: float, predicted_cpi=None) -> None:
-        """Emit the verdict event and the ledger row for one interval."""
-        interval = self._interval
-        self._interval += 1
-        if self.events is not None and filtered.quality != GOOD:
-            self.events.emit(
-                "filter_verdict",
-                node=self.node,
-                interval=interval,
-                quality=filtered.quality,
-                issues=list(filtered.issues),
-            )
-        if self.ledger is not None and filtered.actionable:
-            # BAD intervals carry untrustworthy (possibly frozen) power
-            # readings; pairing predictions against them would corrupt
-            # the accuracy statistics, so the ledger only sees intervals
-            # the filter vouches for.
-            clean = filtered.sample
-            instructions = 0.0
-            cycles = 0.0
-            for ev in clean.core_events:
-                instructions += ev.instructions
-                cycles += ev.cycles
-            self.ledger.record(
-                node=self.node,
-                interval=interval,
-                vf_index=clean.cu_vfs[0].index,
-                predicted_power=estimate,
-                measured_power=clean.measured_power,
-                interval_s=clean.interval_s,
-                predicted_cpi=predicted_cpi,
-                realized_cpi=(cycles / instructions) if instructions > 0 else None,
-                quality=filtered.quality,
-            )
-
-    def estimate_current(self, sample: IntervalSample):
-        """(power estimate at the current operating point, verdict)."""
-        filtered = self.filter.ingest(sample)
-        estimate = self.ppep.estimate_current(filtered.sample)
-        self._observe(filtered, estimate)
-        return estimate, filtered
-
-    def analyze(self, sample: IntervalSample):
-        """(full Figure 5 snapshot from the cleaned sample, verdict)."""
-        filtered = self.filter.ingest(sample)
-        snapshot = self.ppep.analyze(filtered.sample)
-        current_vf = filtered.sample.cu_vfs[0]
-        prediction = snapshot.predictions.get(current_vf.index)
-        cpis = [c for c in prediction.core_cpis if c > 0] if prediction else []
-        predicted_cpi = sum(cpis) / len(cpis) if cpis else None
-        self._observe(filtered, snapshot.current_estimate, predicted_cpi)
-        return snapshot, filtered

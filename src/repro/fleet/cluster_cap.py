@@ -37,6 +37,7 @@ from typing import Callable, List, Union
 
 import numpy as np
 
+from repro.dvfs.governor import DVFSController
 from repro.dvfs.power_capping import (
     CappingResult,
     ExternalBudget,
@@ -202,47 +203,115 @@ class FleetCappingRun:
         )
 
 
-class NodeControl:
-    """One node's control policy around its one-step capper.
+class NodeControl(DVFSController):
+    """One node's whole controller: its filter, its one-step capper and
+    the policy around them.
 
-    :class:`ClusterPowerManager` runs one per fleet node and
-    :class:`~repro.serve.shard.ShardPipeline` one per roster node.  It
-    holds the node's streak of consecutive non-actionable intervals,
-    the interval its quarantine began, the last actionable VF
-    assignment (re-applied on BAD intervals) and the one-step-ahead
-    price queued for the prediction ledger.  A ``verdict`` of ``None``
-    stands for an unfiltered stream, where every interval is
+    :class:`ClusterPowerManager` runs one per fleet node,
+    :class:`~repro.serve.shard.ShardPipeline` one per roster node, and
+    the single-node loops (``faults``, ``backend roundtrip``, ``obs
+    --demo``) one each.  It owns the node's
+    :class:`~repro.faults.filtering.TelemetryFilter` (``filter``) and
+    :class:`~repro.dvfs.power_capping.PPEPPowerCapper` (``capper``,
+    chasing ``cap_schedule``), and holds the node's streak of
+    consecutive non-actionable intervals, the interval its quarantine
+    began, the last actionable VF assignment (re-applied on BAD
+    intervals) and the one-step-ahead price queued for ``ledger``.
+    ``events`` and ``ledger`` are optional sinks.  A ``verdict`` of
+    ``None`` stands for an unfiltered stream (the fleet's unhardened
+    mode, which leaves ``filter`` unused), where every interval is
     actionable.
+
+    :meth:`process` runs one delivered interval through every step, and
+    :meth:`decide` is that method as a
+    :class:`~repro.dvfs.governor.DVFSController`; the fleet manager
+    calls the same steps around its column walk.  ``unhealthy_after=
+    math.inf`` holds on BAD intervals but never quarantines.
     """
 
-    #: Checkpointed fields; each product keeps one entry per node per key.
+    #: Checkpointed fields; each product keeps one entry per node per key
+    #: (and the capper's and filter's states under keys of their own).
     STATE_KEYS = ("bad_streak", "quarantined_since", "held", "pending")
 
-    def __init__(self, name: str, spec, unhealthy_after: int) -> None:
+    def __init__(
+        self,
+        name: str,
+        ppep,
+        cap_schedule,
+        unhealthy_after=3,
+        events=None,
+        ledger=None,
+    ) -> None:
         self.name = name
-        self.spec = spec
+        self.spec = ppep.spec
+        self.filter = TelemetryFilter(ppep.spec)
+        self.capper = PPEPPowerCapper(ppep, cap_schedule)
         self.unhealthy_after = unhealthy_after
+        self.events = events
+        self.ledger = ledger
         self.reset()
 
     def reset(self) -> None:
+        self.filter.reset()
+        self.capper.reset()
         self.bad_streak = 0
         self.quarantined_since = None
         self.held = None
         self.pending = None
+        #: Intervals that re-applied the held assignment (a tally for
+        #: reports; not checkpointed).
+        self.holds = 0
 
     @property
     def healthy(self) -> bool:
         return self.bad_streak < self.unhealthy_after
 
-    def report(self, events, interval: int, verdict) -> None:
+    def process(self, interval: int, sample):
+        """Run one delivered interval through the node's pipeline.
+
+        The capper always decides from the cleaned sample, so its
+        schedule step and bias corrector stay in lockstep with the
+        stream even when :meth:`settle` overrides the decision; a
+        sample the model rejects raises there, having moved only the
+        filter.  A healthy, actionable interval that changes the held
+        assignment emits ``vf_transition``.  Returns the filter's
+        verdict and the VF assignment to apply.
+        """
+        verdict = self.filter.ingest(sample)
+        chosen = self.capper.decide(verdict.sample)
+        self.report(interval, verdict)
+        self.score(interval, verdict.sample, verdict, self.capper.price)
+        healthy = self.advance(verdict)
+        self.transition(interval)
+        previous = self.held
+        applied = self.settle(chosen, verdict)
+        if self.events is not None and healthy and verdict.actionable and previous:
+            from_vf = [vf.index for vf in previous]
+            to_vf = [vf.index for vf in applied]
+            if to_vf != from_vf:
+                self.events.emit(
+                    "vf_transition",
+                    node=self.name,
+                    interval=interval,
+                    from_vf=from_vf,
+                    to_vf=to_vf,
+                )
+        return verdict, applied
+
+    def decide(self, sample):
+        """:meth:`process`'s assignment, numbering the interval by
+        ``sample.index``."""
+        return self.process(sample.index, sample)[1]
+
+    def report(self, interval: int, verdict) -> None:
         """Emit ``filter_verdict`` for a REPAIRED or BAD interval.
 
         GOOD intervals stay silent: their quality rides on the
         prediction row, and one event per node per interval would
         dominate the stream.  Without an event log this does nothing.
         """
-        if events is not None and verdict.quality != GOOD:
-            events.emit(
+        if self.events is not None and verdict.quality != GOOD:
+            self.events.emit(
                 "filter_verdict",
                 node=self.name,
                 interval=interval,
@@ -250,7 +319,7 @@ class NodeControl:
                 issues=list(verdict.issues),
             )
 
-    def score(self, ledger, interval: int, sample, verdict, price=None) -> None:
+    def score(self, interval: int, sample, verdict, price=None) -> None:
         """Record the ledger row for the VF assignment ``sample`` ran.
 
         If the node ran the assignment applied last interval (always, in
@@ -260,9 +329,10 @@ class NodeControl:
         shard's decisions) it scores ``price(sample.cu_vfs)``, the
         in-interval fit of what the node ran, or nothing without a
         ``price``.  BAD intervals carry stale readings that would pin
-        the error stats to garbage, so they record nothing.
+        the error stats to garbage, so they record nothing; neither does
+        a node without a ledger.
         """
-        if verdict is not None and not verdict.actionable:
+        if self.ledger is None or (verdict is not None and not verdict.actionable):
             return
         ran = [vf.index for vf in sample.cu_vfs]
         pending, held = self.pending, self.held
@@ -277,7 +347,7 @@ class NodeControl:
             vf_index, predicted = ran[0], price(sample.cu_vfs)
         else:
             return
-        ledger.record(
+        self.ledger.record(
             node=self.name,
             interval=interval,
             vf_index=vf_index,
@@ -293,7 +363,7 @@ class NodeControl:
         self.bad_streak = 0 if actionable else self.bad_streak + 1
         return self.healthy
 
-    def transition(self, events, interval: int) -> None:
+    def transition(self, interval: int) -> None:
         """Enter or leave quarantine as the streak dictates.
 
         The entry interval advances whether or not an event log is
@@ -302,8 +372,8 @@ class NodeControl:
         since = self.quarantined_since
         if not self.healthy and since is None:
             self.quarantined_since = interval
-            if events is not None:
-                events.emit(
+            if self.events is not None:
+                self.events.emit(
                     "quarantine_enter",
                     node=self.name,
                     interval=interval,
@@ -311,15 +381,15 @@ class NodeControl:
                 )
         elif self.healthy and since is not None:
             self.quarantined_since = None
-            if events is not None:
-                events.emit(
+            if self.events is not None:
+                self.events.emit(
                     "quarantine_exit",
                     node=self.name,
                     interval=interval,
                     quarantined_intervals=interval - since,
                 )
 
-    def settle(self, decision, capper, verdict, queue: bool = True):
+    def settle(self, decision, verdict):
         """The VF assignment to apply in place of the capper's ``decision``.
 
         A quarantined node is pinned to its slowest state and queues no
@@ -328,21 +398,23 @@ class NodeControl:
         capper (``capper.price``, on the cleaned sample it decided
         from).  Otherwise the capper's decision applies, is held if the
         interval was actionable, and queues the capper's own price of it
-        (``last_predicted``) unless ``queue`` is false.
+        (``last_predicted``).  Prices are queued only for a ledger.
         """
+        queue = self.ledger is not None
         if not self.healthy:
             self.held = None
             self.pending = None
             return [self.spec.vf_table.slowest] * self.spec.num_cus
         if verdict is not None and not verdict.actionable and self.held is not None:
             decision = list(self.held)
+            self.holds += 1
             if queue:
-                self.pending = (decision[0].index, float(capper.price(decision)))
+                self.pending = (decision[0].index, float(self.capper.price(decision)))
             return decision
         if verdict is None or verdict.actionable:
             self.held = list(decision)
         if queue:
-            self.pending = (decision[0].index, float(capper.last_predicted))
+            self.pending = (decision[0].index, float(self.capper.last_predicted))
         return decision
 
     def state_dict(self) -> dict:
@@ -405,9 +477,9 @@ class ClusterPowerManager:
     node, prices every VF state of every node in one batched pass per
     model group, then runs the per-node cappers' greedy walks as one
     :func:`~repro.dvfs.power_capping.decide_nodes` column pass per
-    model group.  Each node's streak, quarantine, held assignment and
-    ledger price live in a :class:`NodeControl`, the policy the serve
-    shard runs per node too.
+    model group.  Each node's filter, capper, streak, quarantine, held
+    assignment and ledger price live in a :class:`NodeControl`, the
+    controller the serve shard and the single-node loops run too.
     """
 
     def __init__(
@@ -433,21 +505,12 @@ class ClusterPowerManager:
         self._schedule = (
             cap_schedule if callable(cap_schedule) else (lambda _s: float(cap_schedule))
         )
-        self._budgets = [ExternalBudget() for _ in fleet.nodes]
-        self._cappers = [
-            PPEPPowerCapper(node.ppep, budget)
-            for node, budget in zip(fleet.nodes, self._budgets)
-        ]
         self.harden = bool(harden)
         self.unhealthy_after = int(unhealthy_after)
-        self._filters = (
-            [TelemetryFilter(node.spec) for node in fleet.nodes]
-            if self.harden
-            else None
-        )
+        self._budgets = [ExternalBudget() for _ in fleet.nodes]
         self._controls = [
-            NodeControl(node.name, node.ppep.spec, self.unhealthy_after)
-            for node in fleet.nodes
+            NodeControl(node.name, node.ppep, budget, self.unhealthy_after, events, ledger)
+            for node, budget in zip(fleet.nodes, self._budgets)
         ]
         self._step = 0
         self.events = events
@@ -456,11 +519,6 @@ class ClusterPowerManager:
 
     def reset(self) -> None:
         self._step = 0
-        for capper in self._cappers:
-            capper.reset()
-        if self._filters is not None:
-            for telemetry_filter in self._filters:
-                telemetry_filter.reset()
         for control in self._controls:
             control.reset()
         self._last_alloc = None
@@ -486,11 +544,11 @@ class ClusterPowerManager:
                 else [self._last_alloc[0], list(self._last_alloc[1])]
             ),
             "budgets": [budget.state_dict() for budget in self._budgets],
-            "cappers": [capper.state_dict() for capper in self._cappers],
+            "cappers": [control.capper.state_dict() for control in self._controls],
             "filters": (
-                None
-                if self._filters is None
-                else [f.state_dict() for f in self._filters]
+                [control.filter.state_dict() for control in self._controls]
+                if self.harden
+                else None
             ),
         }
 
@@ -501,11 +559,11 @@ class ClusterPowerManager:
                 "checkpoint was taken for nodes {} but this manager "
                 "drives {}".format(state["nodes"], names)
             )
-        if (state["filters"] is None) != (self._filters is None):
+        if (state["filters"] is not None) != self.harden:
             raise ValueError(
                 "checkpoint hardening mode does not match this manager"
             )
-        if self._filters is not None and len(state["filters"]) != len(names):
+        if self.harden and len(state["filters"]) != len(names):
             raise ValueError(
                 "expected {} filter states (one per node), got {}".format(
                     len(names), len(state["filters"])
@@ -526,13 +584,11 @@ class ClusterPowerManager:
         )
         for budget, budget_state in zip(self._budgets, state["budgets"]):
             budget.load_state_dict(budget_state)
-        for capper, capper_state in zip(self._cappers, state["cappers"]):
-            capper.load_state_dict(capper_state)
-        if self._filters is not None:
-            for telemetry_filter, filter_state in zip(
-                self._filters, state["filters"]
-            ):
-                telemetry_filter.load_state_dict(filter_state)
+        for control, capper_state in zip(self._controls, state["cappers"]):
+            control.capper.load_state_dict(capper_state)
+        if self.harden:
+            for control, filter_state in zip(self._controls, state["filters"]):
+                control.filter.load_state_dict(filter_state)
 
     def run(
         self,
@@ -562,15 +618,14 @@ class ClusterPowerManager:
             node_names=[node.name for node in self.fleet.nodes]
         )
         controls = self._controls
-        queue = self.ledger is not None
         for _ in range(n_intervals):
             samples = self.fleet.step()
             step = self._step
             if self.harden:
-                verdicts = [f.ingest(s) for f, s in zip(self._filters, samples)]
+                verdicts = [c.filter.ingest(s) for c, s in zip(controls, samples)]
                 clean = [verdict.sample for verdict in verdicts]
                 for control, verdict in zip(controls, verdicts):
-                    control.report(self.events, step, verdict)
+                    control.report(step, verdict)
             else:
                 verdicts = [None] * len(samples)
                 clean = samples
@@ -578,9 +633,8 @@ class ClusterPowerManager:
                 control.advance(verdict)
                 for control, verdict in zip(controls, verdicts)
             ]
-            if self.ledger is not None:
-                for control, sample, verdict in zip(controls, clean, verdicts):
-                    control.score(self.ledger, step, sample, verdict)
+            for control, sample, verdict in zip(controls, clean, verdicts):
+                control.score(step, sample, verdict)
             prediction = self.fleet.predict(clean)
             cap = self._schedule(step)
             shares = allocate_with_quarantine(
@@ -596,16 +650,16 @@ class ClusterPowerManager:
             decisions = [None] * len(self.fleet.nodes)
             for _ppep, node_ids, observation in prediction.groups:
                 chosen = decide_nodes(
-                    [self._cappers[i] for i in node_ids],
+                    [controls[i].capper for i in node_ids],
                     [clean[i] for i in node_ids],
                     observation,
                 )
                 for i, decision in zip(node_ids, chosen):
                     decisions[i] = decision
-            for node, capper, control, decision, verdict in zip(
-                self.fleet.nodes, self._cappers, controls, decisions, verdicts
+            for node, control, decision, verdict in zip(
+                self.fleet.nodes, controls, decisions, verdicts
             ):
-                applied = control.settle(decision, capper, verdict, queue)
+                applied = control.settle(decision, verdict)
                 for cu, vf in enumerate(applied):
                     node.platform.set_cu_vf(cu, vf)
             record.caps.append(cap)
@@ -631,7 +685,7 @@ class ClusterPowerManager:
         """
         events = self.events
         for control in self._controls:
-            control.transition(events, self._step)
+            control.transition(self._step)
         allocation = (float(cap), tuple(healthy))
         if allocation != self._last_alloc:
             self._last_alloc = allocation

@@ -253,8 +253,6 @@ class PredictionLedger:
         predicted_power: float,
         measured_power: float,
         interval_s: float,
-        predicted_cpi: Optional[float] = None,
-        realized_cpi: Optional[float] = None,
         quality: Optional[str] = None,
     ) -> bool:
         """Ingest one predicted-vs-realized interval; True when it
@@ -314,8 +312,6 @@ class PredictionLedger:
                 measured_power=float(measured_power),
                 error=error,
                 interval_s=float(interval_s),
-                predicted_cpi=predicted_cpi,
-                realized_cpi=realized_cpi,
                 quality=quality,
             )
             if drift:

@@ -72,8 +72,6 @@ def replay(events: Iterable[dict], **ledger_kwargs) -> ObsReport:
                 predicted_power=event["predicted_power"],
                 measured_power=event["measured_power"],
                 interval_s=event.get("interval_s", 0.2),
-                predicted_cpi=event.get("predicted_cpi"),
-                realized_cpi=event.get("realized_cpi"),
                 quality=event.get("quality"),
             )
             if drift:

@@ -31,7 +31,7 @@ Three service-resilience layers live on top of the queues:
 - **Graceful degradation.**  Workers heartbeat; a stalled or freshly
   re-forked shard is marked *degraded*: new submissions are shed with a
   ``shed`` response carrying the node's last-safe VF decision (the
-  GuardedController hold, lifted to service level) instead of stalling
+  ``NodeControl`` hold, lifted to service level) instead of stalling
   the fleet.  Recovery is detected from the next live heartbeat and its
   duration is tracked in :meth:`health`.
 """

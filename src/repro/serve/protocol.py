@@ -36,8 +36,8 @@ Two further statuses support the exactly-once resilient client
 - ``{"status": "shed", "held_decision": ...}`` -- the owning shard is
   degraded (worker re-forking, heartbeat stall) and the service is
   load-shedding: the interval was not applied, and the response carries
-  the node's last-safe VF decision (GuardedController semantics lifted
-  to service level) so the sender can keep operating while it retries.
+  the node's last-safe VF decision (the ``NodeControl`` hold lifted to
+  service level) so the sender can keep operating while it retries.
 
 Requests may carry an optional ``"seq"`` field -- a per-node monotonic
 non-negative integer assigned by the client.  Every response echoes the

@@ -2,12 +2,13 @@
 
 A shard owns every node of one chip SKU.  It loads exactly one trained
 model (via the :class:`~repro.fleet.registry.ModelRegistry` the manager
-hands it) and runs, per delivered interval, the node's
+hands it) and runs each delivered interval through the node's
+:class:`~repro.fleet.cluster_cap.NodeControl`, the fleet manager's
+per-node controller (its
 :class:`~repro.faults.filtering.TelemetryFilter`, one-step
-:class:`~repro.dvfs.power_capping.PPEPPowerCapper` and the fleet
-manager's per-node policy (:class:`~repro.fleet.cluster_cap.NodeControl`:
-quarantine, held decisions, ledger rows), plus budget allocation across
-the shard's nodes from demand/floor pricing through the batched predictor.
+:class:`~repro.dvfs.power_capping.PPEPPowerCapper`, quarantine, held
+decisions, ledger rows), plus budget allocation across the shard's
+nodes from demand/floor pricing through the batched predictor.
 
 Two layers live here:
 
@@ -30,8 +31,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.dvfs.power_capping import ExternalBudget, PPEPPowerCapper
-from repro.faults.filtering import TelemetryFilter
+from repro.dvfs.power_capping import ExternalBudget
 from repro.fleet.cluster_cap import NodeControl, allocate_with_quarantine
 from repro.hardware.platform import IntervalSample
 from repro.obs.events import EventLog
@@ -125,15 +125,13 @@ class ShardPipeline:
         self.events = events
         self.ledger = PredictionLedger(events=events)
         self._budgets: Dict[str, ExternalBudget] = {}
-        self._cappers: Dict[str, PPEPPowerCapper] = {}
-        self._filters: Dict[str, TelemetryFilter] = {}
         self._controls: Dict[str, NodeControl] = {}
         for name in self.node_names:
             budget = ExternalBudget(self.budget_w / len(self.node_names))
             self._budgets[name] = budget
-            self._cappers[name] = PPEPPowerCapper(ppep, budget)
-            self._filters[name] = TelemetryFilter(ppep.spec)
-            self._controls[name] = NodeControl(name, ppep.spec, self.unhealthy_after)
+            self._controls[name] = NodeControl(
+                name, ppep, budget, self.unhealthy_after, events, self.ledger
+            )
         #: Cleaned samples of the in-flight allocation round.
         self._round: Dict[str, IntervalSample] = {}
         self._last_alloc = None
@@ -155,33 +153,12 @@ class ShardPipeline:
                 "node {!r} is not on shard {!r}'s roster".format(node, self.sku)
             )
         interval = self.intervals[node]
-        verdict = self._filters[node].ingest(sample)
-        # The capper always sees the cleaned sample so its bias
-        # corrector and schedule step stay in lockstep with the stream,
-        # even when its decision is overridden below.  A sample the
-        # model rejects raises here, having moved only the node's filter.
-        capper = self._cappers[node]
-        chosen = capper.decide(verdict.sample)
+        # A sample the model rejects raises here, having moved only the
+        # node's filter.
+        verdict, applied = control.process(interval, sample)
         self.intervals[node] = interval + 1
         self.processed += 1
-
-        control.report(self.events, interval, verdict)
-        control.score(self.ledger, interval, verdict.sample, verdict, capper.price)
-        healthy = control.advance(verdict)
-        control.transition(self.events, interval)
-        previous = control.held
-        applied = control.settle(chosen, capper, verdict)
         decision = [vf.index for vf in applied]
-        if self.events is not None and healthy and verdict.actionable and previous:
-            held = [vf.index for vf in previous]
-            if decision != held:
-                self.events.emit(
-                    "vf_transition",
-                    node=node,
-                    interval=interval,
-                    from_vf=held,
-                    to_vf=list(decision),
-                )
 
         if node in self._round:
             # The node lapped a straggler: close the round with whoever
@@ -212,7 +189,7 @@ class ShardPipeline:
             "node": node,
             "interval": interval,
             "quality": verdict.quality,
-            "healthy": healthy,
+            "healthy": control.healthy,
             "decision": decision,
         }
 
@@ -293,12 +270,12 @@ class ShardPipeline:
                 for name, budget in self._budgets.items()
             },
             "cappers": {
-                name: capper.state_dict()
-                for name, capper in self._cappers.items()
+                name: control.capper.state_dict()
+                for name, control in self._controls.items()
             },
             "filters": {
-                name: telemetry_filter.state_dict()
-                for name, telemetry_filter in self._filters.items()
+                name: control.filter.state_dict()
+                for name, control in self._controls.items()
             },
             "ledger": self.ledger.state_dict(),
         }
@@ -331,9 +308,9 @@ class ShardPipeline:
         for name, budget_state in state["budgets"].items():
             self._budgets[name].load_state_dict(budget_state)
         for name, capper_state in state["cappers"].items():
-            self._cappers[name].load_state_dict(capper_state)
+            self._controls[name].capper.load_state_dict(capper_state)
         for name, filter_state in state["filters"].items():
-            self._filters[name].load_state_dict(filter_state)
+            self._controls[name].filter.load_state_dict(filter_state)
         self.ledger.load_state_dict(state["ledger"])
         self._round = {}
 
@@ -353,8 +330,9 @@ class ShardPipeline:
 
         The manager mirrors this map so that while the shard is
         degraded (worker re-forking, SIGSTOPped) it can answer ``shed``
-        responses with the node's held decision -- GuardedController
-        semantics lifted to the service level.
+        responses with the node's held decision -- the
+        :class:`~repro.fleet.cluster_cap.NodeControl` hold lifted to the
+        service level.
         """
         return {
             name: None if control.held is None else [vf.index for vf in control.held]

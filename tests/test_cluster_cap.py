@@ -147,13 +147,13 @@ class TestClusterPowerManager:
         # Record each node filter's verdict: it carries the cleaned
         # sample the node's capper decided from.
         verdicts = [None] * len(fleet.nodes)
-        for i, telemetry_filter in enumerate(manager._filters):
+        for i, control in enumerate(manager._controls):
 
-            def ingest(sample, i=i, ingest=telemetry_filter.ingest):
+            def ingest(sample, i=i, ingest=control.filter.ingest):
                 verdicts[i] = ingest(sample)
                 return verdicts[i]
 
-            telemetry_filter.ingest = ingest
+            control.filter.ingest = ingest
         reused = held = 0
         for round_index in range(30):
             held_before = [control.held for control in manager._controls]
@@ -199,13 +199,14 @@ class TestClusterPowerManager:
             fleet, 52.0, harden=True, ledger=PredictionLedger(events=events)
         )
         verdicts = []
-        ingest = manager._filters[0].ingest
+        telemetry_filter = manager._controls[0].filter
+        ingest = telemetry_filter.ingest
 
         def recorded(sample):
             verdicts.append(ingest(sample))
             return verdicts[-1]
 
-        manager._filters[0].ingest = recorded
+        telemetry_filter.ingest = recorded
         stepped = fleet.step
         raw = []
 

@@ -1,4 +1,4 @@
-"""Fault injection, the telemetry filter, and the guarded controller.
+"""Fault injection, the telemetry filter, and the node controller's hold.
 
 The load-bearing contracts:
 
@@ -8,11 +8,13 @@ The load-bearing contracts:
 - ground-truth sample fields are never corrupted;
 - the :class:`TelemetryFilter` repairs what the injector breaks and
   flags what it cannot repair;
-- the :class:`GuardedController` holds VF state on bad intervals while
-  keeping its inner controller's clock in sync;
+- :class:`~repro.fleet.cluster_cap.NodeControl` holds VF state on bad
+  intervals while keeping its capper's clock in sync;
 - the hardened :class:`ClusterPowerManager` quarantines unhealthy nodes
   and re-allocates their budget.
 """
+
+import math
 
 import pytest
 
@@ -23,11 +25,11 @@ from repro.faults import (
     FaultInjector,
     FaultSpec,
     FilterConfig,
-    GuardedController,
     TelemetryFilter,
 )
 from repro.faults.injection import WRAP_COUNT
 from repro.dvfs.governor import DVFSController, run_controlled
+from repro.fleet.cluster_cap import NodeControl
 from repro.hardware.events import EventVector
 from repro.hardware.microarch import FX8320_SPEC
 from repro.hardware.platform import (
@@ -275,37 +277,43 @@ class _ScriptedController(DVFSController):
         return [vf] * SPEC.num_cus
 
 
-class TestGuardedController:
-    def test_clean_stream_passes_through(self):
-        inner = _ScriptedController()
-        guarded = GuardedController(inner, SPEC)
+def _scripted_control(tiny_registry):
+    """A node controller that holds but never quarantines, as the
+    single-node loops run it, with its capper's decisions scripted."""
+    control = NodeControl(
+        "node0", tiny_registry.get(SPEC), float("inf"), unhealthy_after=math.inf
+    )
+    script = _ScriptedController()
+    control.capper.decide = script.decide
+    return control, script
+
+
+class TestNodeControlHold:
+    def test_clean_stream_passes_through(self, tiny_registry):
+        control, script = _scripted_control(tiny_registry)
         platform = _busy_platform()
-        run = run_controlled(platform, guarded, 8)
-        assert guarded.holds == 0
-        assert inner.calls == 8
+        run = run_controlled(platform, control, 8)
+        assert control.holds == 0
+        assert script.calls == 8
         assert len(run.decisions) == 8
 
-    def test_bad_interval_holds_previous_decision(self):
-        inner = _ScriptedController()
-        guarded = GuardedController(inner, SPEC)
-        guarded.reset()
+    def test_bad_interval_holds_previous_decision(self, tiny_registry):
+        control, script = _scripted_control(tiny_registry)
         for i in range(6):
-            good = guarded.decide(_sample(i, _steady_readings(i)))
+            good = control.decide(_sample(i, _steady_readings(i)))
         held = list(good)
-        bad = guarded.decide(_sample(6, [37.5] * SLICES_PER_INTERVAL))
-        assert guarded.holds == 1
+        bad = control.decide(_sample(6, [37.5] * SLICES_PER_INTERVAL))
+        assert control.holds == 1
         assert list(bad) == held
-        # The inner controller still saw every interval (clock in sync).
-        assert inner.calls == 7
+        # The capper still saw every interval (clock in sync).
+        assert script.calls == 7
 
-    def test_recovery_resumes_inner_decisions(self):
-        inner = _ScriptedController()
-        guarded = GuardedController(inner, SPEC)
-        guarded.reset()
+    def test_recovery_resumes_capper_decisions(self, tiny_registry):
+        control, script = _scripted_control(tiny_registry)
         for i in range(6):
-            guarded.decide(_sample(i, _steady_readings(i)))
-        guarded.decide(_sample(6, [37.5] * SLICES_PER_INTERVAL))
-        recovered = guarded.decide(_sample(7, _steady_readings(7)))
+            control.decide(_sample(i, _steady_readings(i)))
+        control.decide(_sample(6, [37.5] * SLICES_PER_INTERVAL))
+        recovered = control.decide(_sample(7, _steady_readings(7)))
         fresh = _ScriptedController()
         for _ in range(8):
             expected = fresh.decide(None)

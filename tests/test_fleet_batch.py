@@ -534,8 +534,8 @@ class TestNodeAxisWalk:
             ledger=PredictionLedger(),
         )
         shadows = {
-            id(c): PPEPPowerCapper(c.ppep, c._schedule)
-            for c in manager._cappers
+            id(c.capper): PPEPPowerCapper(c.capper.ppep, c.capper._schedule)
+            for c in manager._controls
         }
         calls = []
 

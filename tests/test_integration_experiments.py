@@ -9,6 +9,7 @@ than absolute numbers.
 import pytest
 
 from repro.experiments import (
+    backend_roundtrip,
     cpi_validation,
     fig01_idle_thermal,
     fig04_power_gating,
@@ -161,3 +162,11 @@ class TestFig11:
     def test_whatif_matches_simulated_nb_lo(self, result):
         projected, actual = result.validation
         assert projected == pytest.approx(actual, rel=0.25)
+
+
+class TestBackendRoundtrip:
+    def test_acceptance_passes(self, quick_ctx):
+        """Record->replay identity, the transparent flaky wrapper and the
+        guarded flaky storm's gates (the ones ``bench_backend`` enforces)."""
+        result = backend_roundtrip.run(quick_ctx)
+        assert result.passed, backend_roundtrip.format_report(result, quick_ctx)

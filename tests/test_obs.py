@@ -305,28 +305,30 @@ class TestEventLogBuffering:
         assert len(replayed) == 5
         assert all(e["type"] == "quarantine_enter" for e in replayed)
 
-    def test_demo_crash_leaves_parseable_ledger(self, tmp_path):
+    def test_demo_crash_leaves_parseable_ledger(
+        self, tmp_path, tiny_registry, monkeypatch
+    ):
         """The ``ppep-repro obs --demo`` recorder specifically: a model
         failure partway through the drive loop still produces a
         replayable JSONL file (the recorder wraps its log in ``with``)."""
         from types import SimpleNamespace
 
+        from repro.dvfs.power_capping import PPEPPowerCapper
         from repro.experiments import obs_drift
         from repro.hardware.microarch import FX8320_SPEC
 
         calls = {"n": 0}
+        decide = PPEPPowerCapper.decide
 
-        class _BoomPPEP:
-            spec = FX8320_SPEC
+        def boom(capper, sample):
+            calls["n"] += 1
+            if calls["n"] >= 3:
+                raise RuntimeError("model exploded")
+            return decide(capper, sample)
 
-            def estimate_current(self, _sample):
-                calls["n"] += 1
-                if calls["n"] >= 3:
-                    raise RuntimeError("model exploded")
-                return 40.0
-
+        monkeypatch.setattr(PPEPPowerCapper, "decide", boom)
         ctx = SimpleNamespace(
-            full_ppep=_BoomPPEP(), spec=FX8320_SPEC,
+            full_ppep=tiny_registry.get(FX8320_SPEC), spec=FX8320_SPEC,
             base_seed=20141213,
         )
         path = str(tmp_path / "demo.jsonl")
@@ -338,6 +340,22 @@ class TestEventLogBuffering:
         replayed = list(read_events(path))
         assert len(replayed) >= 2
         assert all("type" in e and "v" in e for e in replayed)
+
+
+class TestObsDemo:
+    def test_demo_flags_drift_from_the_injection_point(self, quick_ctx, tmp_path):
+        """The golden path of ``ppep-repro obs --demo``: the injected
+        sensor gain drift is flagged, first at the injection interval and
+        never before it, and replaying the file recomputes the flags."""
+        from repro.experiments import obs_drift
+        from repro.obs.report import replay_file
+
+        path = str(tmp_path / "demo.jsonl")
+        ledger = obs_drift.record_demo(quick_ctx, path=path, drift_at=120)
+        flagged = [interval for _node, interval, _stat in ledger.drift_flags]
+        assert flagged and min(flagged) == flagged[0] == 120
+        replayed = replay_file(path, **obs_drift.DEMO_LEDGER_KWARGS).ledger
+        assert replayed.drift_flags == ledger.drift_flags
 
 
 class TestGoldenSchema:

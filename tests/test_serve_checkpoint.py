@@ -10,7 +10,9 @@ here rather than in a 3 a.m. restart.
 """
 
 import dataclasses
+import functools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.hardware.microarch import FX8320_SPEC
 from repro.hardware.platform import CoreAssignment, Platform
 from repro.obs.events import EventLog, read_events
 from repro.obs.ledger import PredictionLedger
+from repro.serve import shard as shard_module
 from repro.serve.shard import ShardPipeline
 from repro.workloads.synthetic import make_cpu_bound, make_memory_bound
 
@@ -250,22 +253,24 @@ class TestShardPipelineRoundTrip:
     """The whole per-SKU serve engine restores to bit-identical decisions."""
 
     def _pipeline(self, tiny_registry, events=None):
-        pipeline = ShardPipeline(
-            sku="fx8320",
-            spec=FX8320_SPEC,
-            ppep=tiny_registry.get(FX8320_SPEC),
-            node_names=["a", "b"],
-            budget_w=160.0,
-            unhealthy_after=2,
-            events=events,
-        )
         # The detector calibrates on 6 rows, before the interval-12
-        # checkpoint, so the round trip carries a running CUSUM.
-        pipeline.ledger = PredictionLedger(
-            window=8, calibration_intervals=6, cusum_slack=0.5,
-            cusum_threshold=4.0, events=events,
+        # checkpoint, so the round trip carries a running CUSUM.  The
+        # shard hands its ledger to every node's controller, so the
+        # settings go in where the shard builds it.
+        ledger = functools.partial(
+            PredictionLedger, window=8, calibration_intervals=6,
+            cusum_slack=0.5, cusum_threshold=4.0,
         )
-        return pipeline
+        with mock.patch.object(shard_module, "PredictionLedger", ledger):
+            return ShardPipeline(
+                sku="fx8320",
+                spec=FX8320_SPEC,
+                ppep=tiny_registry.get(FX8320_SPEC),
+                node_names=["a", "b"],
+                budget_w=160.0,
+                unhealthy_after=2,
+                events=events,
+            )
 
     def _streams(self, n):
         return {
