@@ -298,7 +298,10 @@ class PPEP:
         ``scale`` (``(V/V5)**alpha``), ``volt``, the Eq. 2 coefficients
         ``w_idle1``/``w_idle0`` at each voltage and, with a PG model,
         the idle decomposition's ``p_cu``, ``p_nb`` and ``p_base``.
-        Every value is the scalar model's own float."""
+        Without one, ``mean_w_idle1``/``mean_w_idle0`` hold the Eq. 2
+        coefficients at every mean voltage a per-CU assignment can give
+        ``_idle_power_mixed`` (not a VF axis; :meth:`MixedPricer.lower_bound`
+        reads them).  Every value is the scalar model's own float."""
         if self._vf_columns is None:
             table = self.spec.vf_table.ascending()
             volts = [vf.voltage for vf in table]
@@ -316,6 +319,16 @@ class PPEP:
                 decomps = [self.pg_model.decomposition(vf) for vf in table]
                 for part in ("p_cu", "p_nb", "p_base"):
                     columns[part] = np.array([getattr(d, part) for d in decomps])
+            else:
+                # Every float sum() reaches adding one voltage per CU,
+                # left to right from 0 as _idle_power_mixed does: so
+                # every mean an assignment can give, exactly.
+                sums = {0}
+                for _ in range(self.spec.num_cus):
+                    sums = {s + v for s in sums for v in volts}
+                means = sorted(s / self.spec.num_cus for s in sums)
+                columns["mean_w_idle1"] = np.array([idle.w_idle1(v) for v in means])
+                columns["mean_w_idle0"] = np.array([idle.w_idle0(v) for v in means])
             self._vf_columns = columns
         return self._vf_columns
 
@@ -391,7 +404,8 @@ class MixedPricer:
     :meth:`idle` prices many (node, assignment) pairs as columns (the
     column walk of :func:`~repro.dvfs.power_capping.decide_nodes`).
     Both equal ``predict_mixed`` on the node's core states to the bit:
-    the same floats, added in the same order.
+    the same floats, added in the same order.  :meth:`lower_bound`
+    bounds every price of a row from below, without pricing any.
 
     A node whose uniform idle comes from Eq. 2 (no PG model, or gating
     off) with a diode temperature the idle model rejects raises its
@@ -473,6 +487,37 @@ class MixedPricer:
             if awake:
                 idle += p_cu[vf.index - 1]
         return dynamic + idle, inst_per_s
+
+    def lower_bound(self, row: int) -> float:
+        """A chip power that no assignment :meth:`price` prices for node
+        ``row`` falls below; NaN (which no comparison passes) when a
+        term is NaN or infinities cancel.
+
+        A price sums one (core, NB) pair per core, then an idle part.
+        The bound sums each core's smallest pair over the VF columns and
+        adds the smaller of the row's cheapest uniform idle and the
+        mixed idle's minimum: the PG parts at their column minima (CU
+        0's column also sets the base and NB parts), or Eq. 2 at every
+        achievable mean voltage.  It then drops by 1e-9 of its terms'
+        magnitude, which dwarfs the rounding of the few dozen float
+        additions behind a price or this bound, whatever the terms' signs.
+        """
+        columns = self._ppep._columns()
+        with np.errstate(all="ignore"):
+            core, nb = self.core[row], self.nb[row]
+            dynamic = (core + nb).min(axis=1).sum()
+            if self.wake_cu is None:
+                mixed = (
+                    columns["mean_w_idle1"] * self.temperature[row]
+                    + columns["mean_w_idle0"]
+                ).min()
+            else:
+                p_cu, wake = columns["p_cu"], self.wake_cu[row]
+                first = columns["p_base"] + self.wake_nb[row] * columns["p_nb"]
+                mixed = (first + wake[0] * p_cu).min() + wake[1:].sum() * p_cu.min()
+            idle = np.minimum(self.uniform_idle[row].min(), mixed)
+            magnitude = (np.abs(core) + np.abs(nb)).max(axis=1).sum() + abs(idle)
+            return float(dynamic + idle - 1e-9 * magnitude)
 
     def _row(self, row: int) -> tuple:
         """Node ``row``'s terms, uniform idle, wake masks and temperature

@@ -7,8 +7,10 @@ library: the mixed-VF price table both capper walks read
 columns) and the term kernel (``PPEP.core_terms``) against
 ``PPEP.predict_mixed`` and ``EventPredictor.predict``, and the fleet's
 column walk (:func:`~repro.dvfs.power_capping.decide_nodes`) against
-per-node ``PPEPPowerCapper.decide``.  Stepping, telemetry filtering
-and ledger scoring have one implementation each
+per-node ``PPEPPowerCapper.decide``.  ``decide`` skips a walk that its
+table's lower bound proves ends at the floor; the column walk never
+skips, so it is the reference for those skips too.  Stepping,
+telemetry filtering and ledger scoring have one implementation each
 (``Platform.step``, :class:`~repro.faults.filtering.TelemetryFilter`,
 :meth:`~repro.obs.ledger.PredictionLedger.record`), which the fleet
 runs per node.
@@ -27,6 +29,7 @@ import dataclasses
 import itertools
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -182,7 +185,7 @@ def record_shard_stream(registry):
 
 def record_capper_stream(registry, case):
     """Ten one-step decisions alternating a budget the walk settles
-    inside with one it cannot meet (so it also walks to the floor)."""
+    inside with one it cannot meet (so it also ends at the floor)."""
     spec, power_gating = CAPPER_CASES[case]
     node = _half_busy_node(registry, spec, power_gating)
     budgets = (30.0, 1.0)
@@ -343,7 +346,9 @@ class TestMixedPricer:
         self, tiny_registry, spec, power_gating
     ):
         """Every assignment of every row of a 4-node table (half, full,
-        no and one busy CU), one by one and as columns."""
+        no and one busy CU), one by one and as columns, and at least
+        the row's lower bound, which is finite and close to the row's
+        cheapest price."""
         u = spec.num_cus
         fleet = make_fleet(
             [spec] * 4,
@@ -367,14 +372,28 @@ class TestMixedPricer:
             states = ppep.core_states(sample)
             busy.add(sum(ppep._busy_cus(states)))
             idle = table.idle(np.full(len(assignments), row), columns)
+            bound = table.lower_bound(row)
+            prices = []
             for targets, column_idle in zip(assignments, idle.tolist()):
-                assert table.price(row, targets) == ppep.predict_mixed(
+                prices.append(table.price(row, targets))
+                assert prices[-1] == ppep.predict_mixed(
                     states, sample.temperature, targets, sample.power_gating
                 )
                 assert column_idle == ppep._idle_power_mixed(
                     states, sample.temperature, targets, sample.power_gating
                 )
+            cheapest = min(power for power, _rate in prices)
+            assert np.isfinite(bound)
+            assert cheapest * 0.8 <= bound <= cheapest
         assert busy == {u // 2, u, 0, 1}
+        # A NaN term, or an inf meeting a -inf, gives a NaN bound (which
+        # never prunes) without a floating-point warning.
+        table.core[0, 0, 0] = np.nan
+        table.core[1, 0, 0], table.nb[1, 0, 0] = np.inf, -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(table.lower_bound(0))
+            assert np.isnan(table.lower_bound(1))
 
     @pytest.mark.parametrize("case", list(CAPPER_CASES))
     def test_capper_pricer_decisions_identical(self, tiny_registry, case):
@@ -466,6 +485,20 @@ def _walk_and_oracle(registry, spec, power_gating, budgets):
     return fleet, walk, oracle
 
 
+def _count_prices(monkeypatch):
+    """Record every ``MixedPricer.price`` call's assignment (as VF
+    indices) in the returned list."""
+    priced = []
+    price = MixedPricer.price
+
+    def counted(self, row, cu_targets):
+        priced.append(tuple(vf.index for vf in cu_targets))
+        return price(self, row, cu_targets)
+
+    monkeypatch.setattr(MixedPricer, "price", counted)
+    return priced
+
+
 def _assert_same_decisions(walk, oracle, got, expected):
     for w, o, g, e in zip(walk, oracle, got, expected):
         assert [vf.index for vf in g] == [vf.index for vf in e]
@@ -481,32 +514,94 @@ class TestNodeAxisWalk:
 
     @pytest.mark.parametrize("kind", list(WALK_BUDGETS))
     @pytest.mark.parametrize("case", list(CAPPER_CASES))
-    def test_capper_cases_match_per_node_decide(self, tiny_registry, case, kind):
+    def test_capper_cases_match_per_node_decide(
+        self, tiny_registry, monkeypatch, case, kind
+    ):
+        """Also what each per-node ``decide`` prices: the fastest
+        assignment alone under a cap it meets, the fastest and the floor
+        when the table's lower bound is over the cap, a walk otherwise."""
         spec, power_gating = CAPPER_CASES[case]
         fleet, walk, oracle = _walk_and_oracle(
             tiny_registry, spec, power_gating, [WALK_BUDGETS[kind]] * 4
         )
+        priced = _count_prices(monkeypatch)
         table = spec.vf_table
+        floor = (table.slowest.index,) * spec.num_cus
+        top = (table.fastest.index,) * spec.num_cus
         seen = set()
+        walks = 0
         for _ in range(10):
             samples = fleet.step()
             got = decide_nodes(
                 walk, samples, BatchObservation.from_samples(spec, samples)
             )
-            expected = [c.decide(s) for c, s in zip(oracle, samples)]
+            assert not priced  # the column walk prices as columns
+            expected = []
+            for capper, sample in zip(oracle, samples):
+                expected.append(capper.decide(sample))
+                if kind == "floor":
+                    assert priced == [top, floor]
+                elif kind == "open":
+                    assert priced == [top]
+                elif len(priced) > 2:
+                    walks += 1
+                else:
+                    assert priced in ([top], [top, floor])
+                del priced[:]
             _assert_same_decisions(walk, oracle, got, expected)
             for node, decision in zip(fleet.nodes, got):
                 for cu, vf in enumerate(decision):
                     node.platform.set_cu_vf(cu, vf)
             seen.update(tuple(vf.index for vf in d) for d in got[:2])
-        floor = (table.slowest.index,) * spec.num_cus
-        top = (table.fastest.index,) * spec.num_cus
         if kind == "floor":
             assert seen == {floor}
         elif kind == "open":
             assert seen == {top}
         else:
             assert seen - {floor, top}
+            assert walks >= 10
+
+    @pytest.mark.parametrize("case", list(CAPPER_CASES))
+    def test_cap_between_bound_and_cheapest_price_walks(
+        self, tiny_registry, monkeypatch, case
+    ):
+        """A cap under every price but over the table's lower bound: the
+        bound cannot prove the floor, so ``decide`` walks all the way
+        down to it and still matches the column walk."""
+        spec, power_gating = CAPPER_CASES[case]
+        fleet, walk, oracle = _walk_and_oracle(
+            tiny_registry, spec, power_gating, [1.0] * 4
+        )
+        assignments = list(itertools.product(spec.vf_table, repeat=spec.num_cus))
+        floor = (spec.vf_table.slowest.index,) * spec.num_cus
+        priced = _count_prices(monkeypatch)
+        for _ in range(6):
+            samples = fleet.step()
+            pricer = MixedPricer(
+                walk[0].ppep, BatchObservation.from_samples(spec, samples)
+            )
+            for row, (sample, w, o) in enumerate(zip(samples, walk, oracle)):
+                cheapest = min(pricer.price(row, a)[0] for a in assignments)
+                cap = (pricer.lower_bound(row) + cheapest) / 2
+                assert pricer.lower_bound(row) < cap < cheapest
+                # The budget whose effective cap, after this decision's
+                # bias update, is ``cap``.
+                probe = PPEPPowerCapper(o.ppep, 1.0)
+                probe.load_state_dict(o.state_dict())
+                budget = cap / probe._advance(sample.measured_power)
+                w._schedule.set(budget)
+                o._schedule.set(budget)
+            del priced[:]
+            got = decide_nodes(
+                walk, samples, BatchObservation.from_samples(spec, samples)
+            )
+            expected = []
+            for capper, sample in zip(oracle, samples):
+                expected.append(capper.decide(sample))
+                assert len(priced) > 2  # a walk, not [fastest, floor]
+                del priced[:]
+            _assert_same_decisions(walk, oracle, got, expected)
+            assert {tuple(vf.index for vf in d) for d in got} == {floor}
 
     def test_mixed_budgets_in_one_walk(self, tiny_registry):
         fleet, walk, oracle = _walk_and_oracle(

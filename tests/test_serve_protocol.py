@@ -10,6 +10,7 @@ Contracts pinned here:
   future-versioned checkpoint reads as a cold start, not a fatal error.
 """
 
+import io
 import json
 import os
 
@@ -164,6 +165,22 @@ class TestCheckpointPlumbing:
         assert loaded["checkpoint_version"] == CHECKPOINT_VERSION
         assert loaded["x"] == state["x"]  # bit-exact float round-trip
         assert loaded["nested"] == state["nested"]
+
+    def test_file_is_one_json_dumps(self, tmp_path):
+        # The C encoder's bytes, which equal the streaming json.dump's.
+        path = str(tmp_path / "state.json")
+        state = {
+            "x": 0.1 + 0.2,
+            "odd": [float("nan"), -float("inf"), 1e300, -0.0],
+            "nested": {"values": [1.5, None, "a\u00e9"], "flag": True},
+        }
+        write_checkpoint(path, state)
+        payload = {"checkpoint_version": CHECKPOINT_VERSION, **state}
+        streamed = io.StringIO()
+        json.dump(payload, streamed, sort_keys=True)
+        with open(path, "rb") as handle:
+            written = handle.read().decode("utf-8")
+        assert written == json.dumps(payload, sort_keys=True) == streamed.getvalue()
 
     def test_missing_reads_as_none(self, tmp_path):
         assert read_checkpoint(str(tmp_path / "absent.json")) is None
