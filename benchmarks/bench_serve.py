@@ -30,6 +30,16 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from _harness import record_bench  # noqa: E402
 
 
+def _lines_per_table(report):
+    """Mean over shards of the lines each decided per price table."""
+    values = [
+        shard["lines_per_table"]
+        for shard in report["shards"].values()
+        if shard["lines_per_table"] is not None
+    ]
+    return sum(values) / len(values) if values else float("nan")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -121,7 +131,10 @@ def main(argv=None):
         per_shard = sweep_report["intervals_per_s"] / len(
             sweep_report["shards"]
         )
-        sweep.append((roster, sweep_report["intervals_per_s"], per_shard))
+        sweep.append((
+            roster, sweep_report["intervals_per_s"], per_shard,
+            _lines_per_table(sweep_report),
+        ))
         wall_s += sweep_wall
 
     accepted = report["accepted"]
@@ -145,15 +158,20 @@ def main(argv=None):
         "throughput: {:.0f} intervals ingested/s ({:.1f}s elapsed)".format(
             report["intervals_per_s"], report["elapsed_s"]
         ),
+        "lines decided per price table (mean over shards): {:.2f}".format(
+            _lines_per_table(report)
+        ),
         "gate: accepted == processed (overload only ever surfaces as "
         "an explicit retry)",
     ]
     if sweep:
         lines.append("per-shard throughput across roster widths:")
-        for roster, total_rate, per_shard in sweep:
+        for roster, total_rate, per_shard, per_table in sweep:
             lines.append(
                 "  {:>3d} nodes/SKU: {:>6.0f} intervals/s total, "
-                "{:>6.0f}/s per shard".format(roster, total_rate, per_shard)
+                "{:>6.0f}/s per shard, {:.2f} lines per table".format(
+                    roster, total_rate, per_shard, per_table
+                )
             )
     report_text = "\n".join(lines)
     print(report_text)
@@ -174,7 +192,7 @@ def main(argv=None):
         "restarts": report["restarts"],
         "intervals_per_s": round(report["intervals_per_s"], 1),
     }
-    for roster, total_rate, per_shard in sweep:
+    for roster, total_rate, per_shard, _per_table in sweep:
         metrics["roster_{}_per_shard_intervals_per_s".format(roster)] = round(
             per_shard, 1
         )

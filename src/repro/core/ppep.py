@@ -448,6 +448,8 @@ class MixedPricer:
         # Python-float rows, made on a node's first price (most nodes of
         # a fleet table are never priced one by one).
         self._rows = [None] * n
+        # Every row's lower bound, made in one pass on the first read.
+        self._bounds = None
 
     def price(self, row: int, cu_targets: Sequence[VFState]) -> Tuple[float, float]:
         """(chip power, chip instruction rate) of node ``row`` under
@@ -501,23 +503,30 @@ class MixedPricer:
         achievable mean voltage.  It then drops by 1e-9 of its terms'
         magnitude, which dwarfs the rounding of the few dozen float
         additions behind a price or this bound, whatever the terms' signs.
+
+        The first read bounds every row of the table in one pass (a
+        shard run reads most of them); a NaN stays in its own row.
         """
-        columns = self._ppep._columns()
-        with np.errstate(all="ignore"):
-            core, nb = self.core[row], self.nb[row]
-            dynamic = (core + nb).min(axis=1).sum()
-            if self.wake_cu is None:
-                mixed = (
-                    columns["mean_w_idle1"] * self.temperature[row]
-                    + columns["mean_w_idle0"]
-                ).min()
-            else:
-                p_cu, wake = columns["p_cu"], self.wake_cu[row]
-                first = columns["p_base"] + self.wake_nb[row] * columns["p_nb"]
-                mixed = (first + wake[0] * p_cu).min() + wake[1:].sum() * p_cu.min()
-            idle = np.minimum(self.uniform_idle[row].min(), mixed)
-            magnitude = (np.abs(core) + np.abs(nb)).max(axis=1).sum() + abs(idle)
-            return float(dynamic + idle - 1e-9 * magnitude)
+        if self._bounds is None:
+            columns = self._ppep._columns()
+            with np.errstate(all="ignore"):
+                core, nb = self.core, self.nb
+                dynamic = (core + nb).min(axis=2).sum(axis=1)
+                if self.wake_cu is None:
+                    mixed = (
+                        columns["mean_w_idle1"] * self.temperature[:, None]
+                        + columns["mean_w_idle0"]
+                    ).min(axis=1)
+                else:
+                    p_cu, wake = columns["p_cu"], self.wake_cu
+                    first = columns["p_base"] + self.wake_nb[:, None] * columns["p_nb"]
+                    mixed = (first + wake[:, :1] * p_cu).min(axis=1)
+                    mixed = mixed + wake[:, 1:].sum(axis=1) * p_cu.min()
+                idle = np.minimum(self.uniform_idle.min(axis=1), mixed)
+                magnitude = (np.abs(core) + np.abs(nb)).max(axis=2).sum(axis=1)
+                magnitude = magnitude + np.abs(idle)
+                self._bounds = (dynamic + idle - 1e-9 * magnitude).tolist()
+        return self._bounds[row]
 
     def _row(self, row: int) -> tuple:
         """Node ``row``'s terms, uniform idle, wake masks and temperature

@@ -19,7 +19,7 @@ this experiment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -183,8 +183,15 @@ class PPEPPowerCapper(DVFSController):
         self._step += 1
         return cap
 
-    def decide(self, sample: IntervalSample) -> Sequence[VFState]:
+    def decide(
+        self, sample: IntervalSample, priced: Optional[Tuple[MixedPricer, int]] = None
+    ) -> Sequence[VFState]:
         """The per-CU assignment for the interval after ``sample``.
+
+        The walk prices from ``priced``, a (table, row) whose row holds
+        ``sample`` (the serve shard prices a run of nodes from one
+        table); without it, from a one-row table of ``sample``.  A row
+        holds the same floats in any table, so the decision is the same.
 
         When the fastest assignment prices over the cap, the walk first
         reads the table's :meth:`~repro.core.ppep.MixedPricer.lower_bound`.
@@ -196,20 +203,25 @@ class PPEPPowerCapper(DVFSController):
         """
         spec = self.ppep.spec
         table = spec.vf_table
-        # A one-row price table: the greedy walk below prices dozens of
-        # assignments from it, each a cheap sum on Python floats.  A
-        # sample the model rejects raises here, before the capper's
-        # state moves.
-        pricer = MixedPricer(self.ppep, BatchObservation.from_samples(spec, [sample]))
+        if priced is None:
+            # The greedy walk below prices dozens of assignments from
+            # the table, each a cheap sum on Python floats.  A sample
+            # the model rejects raises here, before the capper's state
+            # moves.
+            priced = (
+                MixedPricer(self.ppep, BatchObservation.from_samples(spec, [sample])),
+                0,
+            )
+        self._priced = priced
+        pricer, row = priced
         price = pricer.price
-        self._priced = (pricer, 0)
 
         assignment: List[VFState] = [table.fastest] * spec.num_cus
-        power, perf = price(0, assignment)
+        power, perf = price(row, assignment)
         cap = self._advance(sample.measured_power)
-        if power > cap and pricer.lower_bound(0) > cap:
+        if power > cap and pricer.lower_bound(row) > cap:
             assignment = [table.slowest] * spec.num_cus
-            self._last_predicted = price(0, assignment)[0]
+            self._last_predicted = price(row, assignment)[0]
             return assignment
         while power > cap:
             best_cu = None
@@ -222,7 +234,7 @@ class PPEPPowerCapper(DVFSController):
                     continue
                 trial = list(assignment)
                 trial[cu] = lower
-                trial_power, trial_perf = price(0, trial)
+                trial_power, trial_perf = price(row, trial)
                 saved = power - trial_power
                 lost = max(perf - trial_perf, 1.0)
                 score = saved / lost
@@ -249,7 +261,7 @@ class PPEPPowerCapper(DVFSController):
                     continue
                 trial = list(assignment)
                 trial[cu] = higher
-                trial_power, trial_perf = price(0, trial)
+                trial_power, trial_perf = price(row, trial)
                 if trial_power <= cap:
                     gain = trial_perf - perf
                     if best_gain is None or gain > best_gain:

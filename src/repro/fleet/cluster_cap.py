@@ -222,11 +222,14 @@ class NodeControl(DVFSController):
     mode, which leaves ``filter`` unused), where every interval is
     actionable.
 
-    :meth:`process` runs one delivered interval through every step, and
-    :meth:`decide` is that method as a
-    :class:`~repro.dvfs.governor.DVFSController`; the fleet manager
-    calls the same steps around its column walk.  ``unhealthy_after=
-    math.inf`` holds on BAD intervals but never quarantines.
+    :meth:`process` runs one delivered interval through every step:
+    the filter, the capper's decision, then :meth:`conclude`, which
+    holds every step after the decision.  :meth:`decide` is that
+    method as a :class:`~repro.dvfs.governor.DVFSController`.  The
+    serve shard calls the three parts itself, so that a run of nodes
+    can price from one shared table, and the fleet manager calls the
+    same steps around its column walk.  ``unhealthy_after=math.inf``
+    holds on BAD intervals but never quarantines.
     """
 
     #: Checkpointed fields; each product keeps one entry per node per key
@@ -273,12 +276,20 @@ class NodeControl(DVFSController):
         schedule step and bias corrector stay in lockstep with the
         stream even when :meth:`settle` overrides the decision; a
         sample the model rejects raises there, having moved only the
-        filter.  A healthy, actionable interval that changes the held
-        assignment emits ``vf_transition``.  Returns the filter's
-        verdict and the VF assignment to apply.
+        filter.  Returns the filter's verdict and the VF assignment to
+        apply (:meth:`conclude`).
         """
         verdict = self.filter.ingest(sample)
-        chosen = self.capper.decide(verdict.sample)
+        return verdict, self.conclude(
+            interval, verdict, self.capper.decide(verdict.sample)
+        )
+
+    def conclude(self, interval: int, verdict, chosen):
+        """Every step after the capper chose ``chosen`` from
+        ``verdict``'s cleaned sample: ``filter_verdict``, the ledger
+        row, the bad streak, quarantine and the settled assignment,
+        which this returns.  A healthy, actionable interval that
+        changes the held assignment emits ``vf_transition``."""
         self.report(interval, verdict)
         self.score(interval, verdict.sample, verdict, self.capper.price)
         healthy = self.advance(verdict)
@@ -296,7 +307,7 @@ class NodeControl(DVFSController):
                     from_vf=from_vf,
                     to_vf=to_vf,
                 )
-        return verdict, applied
+        return applied
 
     def decide(self, sample):
         """:meth:`process`'s assignment, numbering the interval by

@@ -612,6 +612,7 @@ class ShardManager:
                 "restarts": handle.restarts,
                 "recoveries": handle.recoveries,
                 "processed": stats.get("processed", 0),
+                "lines_per_table": _lines_per_table(stats),
                 "allocations": stats.get("allocations", 0),
                 "quarantined": stats.get("quarantined", 0),
                 "drift_flags": stats.get("drift_flags", 0),
@@ -634,7 +635,9 @@ class ShardManager:
         Per shard: liveness, degradation (and why), restart/recovery
         counts, worst recovery duration, queue depth plus redelivery
         backlog, in-flight ledger size, heartbeat and checkpoint ages,
-        and the delivered/durable watermarks.
+        the delivered/durable watermarks, and how many lines the
+        worker decided per price table it built (``lines_per_table``,
+        also in :meth:`stats`).
         """
         self.poll()
         now = time.monotonic()
@@ -670,6 +673,7 @@ class ShardManager:
                 "checkpointed_delivered": stats.get(
                     "checkpointed_delivered", 0
                 ),
+                "lines_per_table": _lines_per_table(stats),
             }
         degraded = sum(1 for s in shards.values() if s["degraded"])
         return {
@@ -729,3 +733,11 @@ class ShardManager:
         if self.events is not None:
             self.events.close()
         return self.stats()
+
+
+def _lines_per_table(stats: dict):
+    """Lines a worker decided per price table it built, from its stats
+    (``None`` before its first table; a restarted worker counts afresh)."""
+    if not stats.get("tables"):
+        return None
+    return stats["table_rows"] / stats["tables"]

@@ -14,11 +14,14 @@ Two layers live here:
 
 - :class:`ShardPipeline` -- the in-process engine.  Synchronous,
   deterministic, fully checkpointable via ``state_dict()`` /
-  ``load_state_dict()``; tests drive it directly.
+  ``load_state_dict()``; tests drive it directly.  It decides a batch
+  of delivered lines in runs, one price table per run, with the
+  decisions one line at a time would give.
 - :func:`shard_worker_main` -- the process entry point: drains a
-  bounded queue of validated telemetry events into a pipeline,
-  checkpoints on a period and on SIGTERM, and reports progress to the
-  supervising :class:`~repro.serve.manager.ShardManager`.
+  bounded queue of validated telemetry events into a pipeline, as many
+  at a time as the open allocation round still waits for, checkpoints
+  on a period and on SIGTERM, and reports progress to the supervising
+  :class:`~repro.serve.manager.ShardManager`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.core.batch import BatchObservation
+from repro.core.ppep import MixedPricer
 from repro.dvfs.power_capping import ExternalBudget
 from repro.fleet.cluster_cap import NodeControl, allocate_with_quarantine
 from repro.hardware.platform import IntervalSample
@@ -84,16 +89,21 @@ class ShardPipeline:
         Observability sink for the shard's events and its ledger's
         ``prediction`` rows.
 
-    Nodes deliver intervals asynchronously, so the shard batches across
-    nodes only at the allocation round; within an interval each node's
-    :class:`~repro.dvfs.power_capping.PPEPPowerCapper` prices its
-    candidates from a one-row :class:`~repro.core.ppep.MixedPricer`
-    table of the cleaned sample, the table the fleet's column walk
-    reads for a whole model group.  The ledger scores the filter's
-    cleaned power against the capper's one-step-ahead price of the
-    decision, as the fleet manager's does, when the node ran it; a
-    sender that does not apply decisions is scored on that table's
-    in-interval fit of what it ran (``PPEPPowerCapper.price``).
+    Nodes deliver intervals asynchronously, and each line is decided
+    from the budgets the last allocation round set.  So the lines of
+    one round, up to the line that closes it, are independent:
+    :meth:`process_lines` decides such a *run* from one
+    :class:`~repro.core.ppep.MixedPricer` table over the run's cleaned
+    samples (the table the fleet's column walk reads for a whole model
+    group), each node's
+    :class:`~repro.dvfs.power_capping.PPEPPowerCapper` walking its own
+    row.  :meth:`process` is a run of one line, priced from a one-row
+    table.  ``tables`` counts the tables built and ``table_rows`` the
+    lines decided from them.  The ledger scores the filter's cleaned
+    power against the capper's one-step-ahead price of the decision,
+    as the fleet manager's does, when the node ran it; a sender that
+    does not apply decisions is scored on that table's in-interval fit
+    of what it ran (``PPEPPowerCapper.price``).
     """
 
     def __init__(
@@ -138,6 +148,12 @@ class ShardPipeline:
         self.processed = 0
         self.intervals: Dict[str, int] = {name: 0 for name in self.node_names}
         self.allocations = 0
+        #: Lines of the current run filtered but not yet decided.
+        self._undecided = 0
+        #: Price tables built, and lines decided from them, by this
+        #: pipeline (tallies for ``stats``; not checkpointed).
+        self.tables = 0
+        self.table_rows = 0
 
     # -- per-interval processing --------------------------------------------
 
@@ -145,17 +161,103 @@ class ShardPipeline:
         """Run one delivered interval through the hardened pipeline.
 
         Returns a summary dict (quality verdict, health, the VF decision
-        the service would push to the node).
+        the service would push to the node); raises what
+        :meth:`process_lines` yields for the line.
         """
-        control = self._controls.get(node)
-        if control is None:
-            raise KeyError(
-                "node {!r} is not on shard {!r}'s roster".format(node, self.sku)
-            )
+        [outcome] = self.process_lines([(node, sample)])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    def process_lines(self, lines):
+        """Run delivered ``(node, sample)`` intervals through the
+        pipeline; yields, line by line in order, :meth:`process`'s dict
+        or the exception the line raised.
+
+        The lines are cut into *runs* that never hold a node twice and
+        end at the line that closes an allocation round (the last
+        roster node, or a straggler lapping).  A run's lines are
+        independent given the budgets of the last round: each run
+        filters every line, prices them all from one
+        :class:`~repro.core.ppep.MixedPricer` table over the cleaned
+        samples, then decides them one by one.  A table row holds the
+        same floats in any table, so every decision and event, and the
+        state after each run, is what one line per call gives.  While a
+        run has lines filtered but not yet decided, :attr:`mid_round`
+        stays true.  An unknown
+        node, or a sample the filter or the model rejects, fails only
+        its own line (the model's rejection having moved only the
+        node's filter); the consumer must exhaust the generator.
+        """
+        lines = list(lines)
+        start = 0
+        while start < len(lines):
+            end = self._run_end(lines, start)
+            yield from self._run(lines[start:end])
+            start = end
+
+    def _run_end(self, lines, start: int) -> int:
+        """Where the run starting at ``lines[start]`` ends (exclusive)."""
+        taken = set()
+        room = self.awaiting
+        for i in range(start, len(lines)):
+            node = lines[i][0]
+            if node not in self._controls:
+                continue
+            if node in taken:
+                return i
+            if node in self._round or len(taken) + 1 == room:
+                return i + 1
+            taken.add(node)
+        return len(lines)
+
+    def _run(self, run):
+        """Filter, price and decide one run (see :meth:`process_lines`)."""
+        staged = []
+        for node, sample in run:
+            control = self._controls.get(node)
+            if control is None:
+                staged.append(KeyError(
+                    "node {!r} is not on shard {!r}'s roster".format(node, self.sku)
+                ))
+                continue
+            try:
+                staged.append((node, control, control.filter.ingest(sample)))
+            except Exception as exc:
+                staged.append(exc)
+        clean = [entry[2].sample for entry in staged if isinstance(entry, tuple)]
+        table = None
+        if len(clean) > 1:
+            try:
+                table = MixedPricer(
+                    self.ppep, BatchObservation.from_samples(self.spec, clean)
+                )
+                self.tables += 1
+            except Exception:
+                # A sample the model rejects: each line prices from a
+                # table of its own, so only that line raises.
+                pass
+        self._undecided = len(clean)
+        row = 0
+        for entry in staged:
+            if isinstance(entry, tuple):
+                self._undecided -= 1
+                priced = None if table is None else (table, row)
+                try:
+                    entry = self._decide(*entry, priced)
+                except Exception as exc:
+                    entry = exc
+                row += 1
+            yield entry
+
+    def _decide(self, node, control, verdict, priced) -> dict:
+        """Decide one filtered line and close its round if it does."""
         interval = self.intervals[node]
-        # A sample the model rejects raises here, having moved only the
-        # node's filter.
-        verdict, applied = control.process(interval, sample)
+        chosen = control.capper.decide(verdict.sample, priced)
+        if priced is None:
+            self.tables += 1
+        self.table_rows += 1
+        applied = control.conclude(interval, verdict, chosen)
         self.intervals[node] = interval + 1
         self.processed += 1
         decision = [vf.index for vf in applied]
@@ -316,14 +418,22 @@ class ShardPipeline:
 
     @property
     def mid_round(self) -> bool:
-        """Whether an allocation round is currently mid-barrier.
+        """Whether an allocation round is currently mid-barrier, or a
+        run has lines filtered but not yet decided.
 
         Checkpoints must wait for round boundaries: ``state_dict``
         drops the in-flight round, so a snapshot taken here would make
         a crash-restore close its next round with samples from mixed
         intervals and diverge from the uninterrupted decision stream.
+        A run's undecided lines have already moved their filters, so a
+        snapshot would also run ahead of the lines it has delivered.
         """
-        return bool(self._round)
+        return bool(self._round) or self._undecided > 0
+
+    @property
+    def awaiting(self) -> int:
+        """How many roster nodes the open allocation round waits for."""
+        return len(self.node_names) - len(self._round)
 
     def held_decisions(self) -> Dict[str, Optional[List[int]]]:
         """Per-node last-safe VF decision (``None`` before the first).
@@ -343,6 +453,8 @@ class ShardPipeline:
         """A compact progress snapshot for the supervisor."""
         return {
             "processed": self.processed,
+            "tables": self.tables,
+            "table_rows": self.table_rows,
             "allocations": self.allocations,
             "quarantined": sum(
                 1
@@ -364,6 +476,16 @@ def shard_worker_main(config: dict, in_queue, out_queue) -> None:
     every *round-aligned* exit (a mid-round exit keeps the last aligned
     checkpoint authoritative -- see ``_snapshot``), and reports
     progress on ``out_queue``.
+
+    After each blocking ``get`` the worker takes, without waiting, as
+    many more queued items as the open allocation round still waits
+    for (stopping at :data:`STOP`), and runs them through
+    :meth:`ShardPipeline.process_lines`, so a round's queued lines
+    share one price table.  Delivery counting, checkpoint ticks and
+    progress stay per line; a checkpoint can land only after a run's
+    last line (``mid_round``), and an item that does not decode fails
+    alone.  Nothing sets the drain size: a queue that is never ahead of
+    the worker gives one line per loop, as before.
 
     The shard's JSONL event stream is flushed *after* each successful
     checkpoint (never in between): the on-disk event file therefore
@@ -459,6 +581,21 @@ def shard_worker_main(config: dict, in_queue, out_queue) -> None:
             checkpointed = delivered
             last_save_t = time.monotonic()
 
+    def _outcomes(items):
+        """Each queue item's :meth:`ShardPipeline.process_lines` outcome,
+        in order; an item that does not decode fails alone."""
+        lines = []
+        for item in items:
+            try:
+                lines.append(
+                    (item["node"], sample_from_wire(item["sample"], pipeline.spec))
+                )
+            except Exception as exc:
+                yield from pipeline.process_lines(lines)
+                lines = []
+                yield exc
+        yield from pipeline.process_lines(lines)
+
     since_progress = 0
     last_heartbeat_t = 0.0
     try:
@@ -477,32 +614,44 @@ def shard_worker_main(config: dict, in_queue, out_queue) -> None:
                     since_progress = 0
                     out_queue.put(("progress", pipeline.sku, _report_stats()))
                 continue
-            if item == STOP:
+            # Whatever else of the open round is already queued joins
+            # it, so its lines price from one table (process_lines).
+            items = [item]
+            while items[-1] != STOP and len(items) < pipeline.awaiting:
+                try:
+                    items.append(in_queue.get_nowait())
+                except queue.Empty:
+                    break
+            stop = items[-1] == STOP
+            if stop:
+                items.pop()
+            for outcome in _outcomes(items):
+                if isinstance(outcome, Exception):
+                    # One bad interval must not take the shard down; it
+                    # is counted and the stream continues.
+                    errors += 1
+                    logger.error(
+                        "shard %s failed to process an interval",
+                        pipeline.sku,
+                        exc_info=outcome,
+                    )
+                # Error paths count too: the watermark tracks queue
+                # items consumed, and a poison item must not be
+                # redelivered.
+                delivered += 1
+                if checkpointer is not None and checkpointer.tick(
+                    aligned=not pipeline.mid_round
+                ):
+                    checkpointed = delivered
+                    last_save_t = time.monotonic()
+                    if events is not None:
+                        events.flush()
+                since_progress += 1
+                if since_progress >= PROGRESS_EVERY:
+                    since_progress = 0
+                    out_queue.put(("progress", pipeline.sku, _report_stats()))
+            if stop:
                 break
-            try:
-                sample = sample_from_wire(item["sample"], pipeline.spec)
-                pipeline.process(item["node"], sample)
-            except Exception:
-                # One bad interval must not take the shard down; it is
-                # counted and the stream continues.
-                errors += 1
-                logger.exception(
-                    "shard %s failed to process an interval", pipeline.sku
-                )
-            # Error paths count too: the watermark tracks queue items
-            # consumed, and a poison item must not be redelivered.
-            delivered += 1
-            if checkpointer is not None and checkpointer.tick(
-                aligned=not pipeline.mid_round
-            ):
-                checkpointed = delivered
-                last_save_t = time.monotonic()
-                if events is not None:
-                    events.flush()
-            since_progress += 1
-            if since_progress >= PROGRESS_EVERY:
-                since_progress = 0
-                out_queue.put(("progress", pipeline.sku, _report_stats()))
     finally:
         if checkpointer is not None and pipeline.mid_round:
             # The mid-round alignment veto applies to the exit snapshot

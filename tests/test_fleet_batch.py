@@ -387,13 +387,18 @@ class TestMixedPricer:
             assert cheapest * 0.8 <= bound <= cheapest
         assert busy == {u // 2, u, 0, 1}
         # A NaN term, or an inf meeting a -inf, gives a NaN bound (which
-        # never prunes) without a floating-point warning.
+        # never prunes) without a floating-point warning.  The bounds of
+        # a table are made in one pass on the first read, so the terms
+        # are poked into a fresh table, and the other rows keep theirs.
+        bounds = [table.lower_bound(row) for row in range(len(samples))]
+        table = MixedPricer(ppep, BatchObservation.from_samples(spec, samples))
         table.core[0, 0, 0] = np.nan
         table.core[1, 0, 0], table.nb[1, 0, 0] = np.inf, -np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(table.lower_bound(0))
             assert np.isnan(table.lower_bound(1))
+            assert [table.lower_bound(2), table.lower_bound(3)] == bounds[2:]
 
     @pytest.mark.parametrize("case", list(CAPPER_CASES))
     def test_capper_pricer_decisions_identical(self, tiny_registry, case):

@@ -10,6 +10,7 @@ them.
 
 import asyncio
 import json
+import queue
 
 import pytest
 
@@ -137,6 +138,78 @@ def _shard_ledger_replay(tiny_registry, closed_loop, budget_w=180.0, intervals=4
     }
     assert len(rows) == len(predictions)
     return expected, rows
+
+
+def _split_stream(tiny_registry):
+    """A 4-node FX-8320 shard with injected faults and the stream the
+    split tests feed it: 20 open-loop rounds under a 300 W budget, which
+    binds on some lines and proves the floor on others (a quarantine
+    episode comes from the faults).  ``n03`` straggles in round 5, so
+    ``n00`` closes that round by lapping; an unknown node leads round 8
+    and a line the model rejects (diode at 0 K, gating off) leads
+    round 11, each right after a round closed.  Returns a factory of
+    fresh pipelines and the ``(node, sample)`` lines."""
+    import dataclasses
+
+    from repro.fleet.simulator import make_fleet
+    from tests.test_fleet_batch import FAULTS
+
+    fleet = make_fleet([FX8320_SPEC] * 4, tiny_registry, fault_specs=FAULTS)
+    names = [node.name for node in fleet.nodes]
+    rounds = [list(zip(names, fleet.step())) for _ in range(20)]
+    del rounds[5][3]
+    rounds[8].insert(0, ("stranger", rounds[8][0][1]))
+    node, sample = rounds[11][1]
+    rounds[11].insert(
+        0, (node, dataclasses.replace(sample, temperature=0.0, power_gating=False))
+    )
+
+    def pipeline():
+        return ShardPipeline(
+            sku="fx8320", spec=FX8320_SPEC, ppep=fleet.nodes[0].ppep,
+            node_names=names, budget_w=300.0, events=EventLog(),
+        )
+
+    return pipeline, [line for lines in rounds for line in lines]
+
+
+def _feed(pipeline, lines, sizes=None):
+    """Feed ``lines`` one per ``process`` call (``sizes=None``) or in
+    chunks of ``sizes`` through ``process_lines``; per line, returns
+    (outcome, mid_round, state_dict, events so far, last of its call,
+    the table and row the node's capper priced from)."""
+    trail = []
+
+    def note(node, outcome, last):
+        control = pipeline._controls.get(node)
+        priced = None
+        if control is not None and not isinstance(outcome, Exception):
+            priced = control.capper._priced
+        trail.append((
+            type(outcome) if isinstance(outcome, Exception) else outcome,
+            pipeline.mid_round,
+            pipeline.state_dict(),
+            len(pipeline.events.records),
+            last,
+            priced,
+        ))
+
+    if sizes is None:
+        for node, sample in lines:
+            try:
+                outcome = pipeline.process(node, sample)
+            except Exception as exc:
+                outcome = exc
+            note(node, outcome, True)
+        return trail
+    start = 0
+    for size in sizes:
+        chunk = lines[start:start + size]
+        for k, outcome in enumerate(pipeline.process_lines(chunk)):
+            note(chunk[k][0], outcome, k == len(chunk) - 1)
+        start += size
+    assert start >= len(lines)
+    return trail
 
 
 class TestShardPipelineBehavior:
@@ -268,6 +341,98 @@ class TestShardPipelineBehavior:
         # The shard keeps serving the stream.
         assert pipeline.process("solo", samples[4])["interval"] == 4
 
+    def test_splitting_a_stream_never_changes_it(self, tiny_registry, monkeypatch):
+        """The batch entry, whatever the chunks, gives what one line per
+        ``process`` call gives: each line's result or exception type,
+        the event stream, and the state after every line.  Inside a run
+        the filters of its undecided lines have moved ahead, so the
+        filter states are compared wherever nothing is left undecided:
+        at every ``mid_round``-false line and at the end of every call.
+        Each run's table holds distinct nodes, and only its last line
+        may close a round.  Restoring the state at any ``mid_round``-
+        false line into a fresh pipeline replays the rest identically."""
+        import random
+
+        from repro.core.ppep import MixedPricer
+        from repro.dvfs.power_capping import PPEPPowerCapper
+
+        make, lines = _split_stream(tiny_registry)
+        # The reference feed, spying on each decision's cap and bound.
+        caps, bounds = [], []
+        advance, lower_bound = PPEPPowerCapper._advance, MixedPricer.lower_bound
+        monkeypatch.setattr(
+            PPEPPowerCapper, "_advance",
+            lambda self, power: caps.append(advance(self, power)) or caps[-1],
+        )
+        monkeypatch.setattr(
+            MixedPricer, "lower_bound",
+            lambda self, row: bounds.append((len(caps), lower_bound(self, row)))
+            or bounds[-1][1],
+        )
+        reference = make()
+        expected = _feed(reference, lines)
+        monkeypatch.undo()
+        table = FX8320_SPEC.vf_table
+        floor = [table.slowest.index] * FX8320_SPEC.num_cus
+        decisions = [
+            outcome["decision"] for outcome, *_ in expected if isinstance(outcome, dict)
+        ]
+        assert any(d not in (floor, [table.fastest.index] * 4) for d in decisions)
+        assert any(bound > caps[at - 1] for at, bound in bounds)  # floor proven
+        outcomes = [outcome for outcome, *_ in expected]
+        assert outcomes.count(KeyError) == 1 and outcomes.count(ValueError) == 1
+        types = {event["type"] for event in reference.events.records}
+        assert {"quarantine_enter", "quarantine_exit"} <= types
+        assert reference.allocations == 20  # round 5 too, by the lap
+
+        roster = len(reference.node_names)
+        rng = random.Random(23)
+        splits = [[size] * len(lines) for size in range(1, roster + 3)]
+        splits += [[rng.randint(1, 2 * roster) for _ in lines] for _ in range(3)]
+        for sizes in splits:
+            pipeline = make()
+            trail = _feed(pipeline, lines, sizes)
+            assert len(trail) == len(expected)
+            tables = {}
+            allocations = 0
+            for at, (got, want) in enumerate(zip(trail, expected)):
+                outcome, mid, state, seen, last, priced = got
+                assert outcome == want[0], (sizes[0], at)
+                assert seen == want[3]
+                assert {**state, "filters": None} == {**want[2], "filters": None}
+                if isinstance(outcome, dict):
+                    assert mid == want[1], (sizes[0], at)
+                    rows = tables.setdefault(id(priced[0]), (priced[0], []))[1]
+                    rows.append((outcome["node"], state["allocations"] - allocations))
+                else:
+                    assert mid or not want[1]
+                if not mid or last:
+                    assert state == want[2], (sizes[0], at)
+                allocations = state["allocations"]
+            assert pipeline.events.records == reference.events.records
+            for _table, rows in tables.values():
+                nodes = [node for node, _closed in rows]
+                assert len(set(nodes)) == len(nodes)
+                assert not any(closed for _node, closed in rows[:-1])
+            assert pipeline.table_rows == len(decisions)
+            if sizes[0] == 1 and len(set(sizes)) == 1:
+                assert pipeline.tables == len(decisions)
+            else:
+                assert pipeline.tables < len(decisions)
+            # Restart wherever a checkpoint could land.
+            for at, (_outcome, mid, state, seen, _last, _priced) in enumerate(trail):
+                if mid:
+                    continue
+                resumed = make()
+                resumed.load_state_dict(json.loads(json.dumps(state)))
+                rest = [
+                    type(o) if isinstance(o, Exception) else o
+                    for o in resumed.process_lines(lines[at + 1:])
+                ]
+                assert rest == outcomes[at + 1:], (sizes[0], at)
+                assert resumed.state_dict() == expected[-1][2]
+                assert resumed.events.records == reference.events.records[seen:]
+
     def test_unknown_node_rejected(self, tiny_registry):
         pipeline = ShardPipeline(
             sku="fx8320", spec=FX8320_SPEC,
@@ -300,6 +465,86 @@ class TestShardPipelineBehavior:
             ShardPipeline("s", FX8320_SPEC, ppep, ["a", "a"])
         with pytest.raises(ValueError, match="unhealthy_after"):
             ShardPipeline("s", FX8320_SPEC, ppep, ["a"], unhealthy_after=0)
+
+
+class _OneAtATime(queue.Queue):
+    """A queue whose ``get_nowait`` never finds anything: the worker
+    takes one item per loop, as it did before it drained rounds."""
+
+    def get_nowait(self):
+        raise queue.Empty
+
+
+class TestWorkerLoop:
+    def _run(self, tiny_registry, directory, in_queue):
+        """Run ``shard_worker_main`` in this process over a pre-filled
+        ``in_queue``: three and a half rounds of a 4-node roster, one
+        undecodable item mid-round, then STOP mid-round and two items
+        behind it.  Returns the decision events and checkpoint on disk,
+        the final stats and how many items were left queued."""
+        import signal
+
+        from repro.serve.shard import STOP, shard_worker_main
+
+        names = ["fx8320-n{:02d}".format(i) for i in range(4)]
+        streams = [
+            _wire_events(name, "fx8320", 4, seed=51 + i)
+            for i, name in enumerate(names)
+        ]
+        items = [streams[i][k] for k in range(4) for i in range(4)]
+        items.insert(6, dict(items[6], sample={}))
+        items.insert(len(items) - 2, STOP)
+        for item in items:
+            in_queue.put(item)
+        config = {
+            "sku": "fx8320",
+            "spec": FX8320_SPEC,
+            "ppep": tiny_registry.get(FX8320_SPEC),
+            "node_names": names,
+            "budget_w": 300.0,
+            "checkpoint_path": str(directory / "shard.json"),
+            "checkpoint_every": 4,
+            "events_path": str(directory / "shard.jsonl"),
+        }
+        out_queue = queue.Queue()
+        handler = signal.getsignal(signal.SIGTERM)
+        try:
+            shard_worker_main(config, in_queue, out_queue)
+        finally:
+            signal.signal(signal.SIGTERM, handler)
+        reports = []
+        while not out_queue.empty():
+            reports.append(out_queue.get_nowait())
+        kind, _sku, stats = reports[-1]
+        assert kind == "stopped"
+        decisions = [
+            event
+            for event in read_events(config["events_path"])
+            if event["type"] == "decision"
+        ]
+        return decisions, read_checkpoint(config["checkpoint_path"]), stats, (
+            in_queue.qsize()
+        )
+
+    def test_draining_rounds_changes_nothing(self, tiny_registry, tmp_path):
+        """Draining the open round's queued lines into one batch gives
+        the decisions, final checkpoint and error count of one line per
+        loop; STOP still ends the drain, mid-round."""
+        (tmp_path / "drain").mkdir()
+        (tmp_path / "single").mkdir()
+        drained = self._run(tiny_registry, tmp_path / "drain", queue.Queue())
+        single = self._run(tiny_registry, tmp_path / "single", _OneAtATime())
+        decisions, checkpoint, stats, left = drained
+        assert decisions == single[0]
+        assert checkpoint == single[1]
+        assert stats["errors"] == single[2]["errors"] == 1
+        assert left == single[3] == 2
+        # 15 items before STOP; the last aligned checkpoint is after 13.
+        assert stats["delivered"] == single[2]["delivered"] == 15
+        assert checkpoint["delivered"] == 13
+        assert len(decisions) == 12
+        assert single[2]["tables"] == single[2]["table_rows"] == 14
+        assert stats["table_rows"] == 14 and stats["tables"] < 14
 
 
 class TestManagerRouting:
